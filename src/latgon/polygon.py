@@ -1,15 +1,14 @@
-"""Convex lattice polygons with exact integer/rational predicates.
+"""Convex lattice polygons with exact integer predicates.
 
 A polygon is stored as the canonical tuple of its vertices: strictly convex
 (no three collinear), counterclockwise, starting at the lexicographically
-smallest vertex.  Chord computations use exact rationals; nothing here touches
-floating point.
+smallest vertex.  Chord endpoints are compared by integer cross-multiplication;
+nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .lattice import AffineMap, Lattice2, Vec, contains
@@ -201,62 +200,61 @@ def meets_line(P: LatticePolygon, line: Line) -> bool:
     return lo <= 0 <= hi
 
 
-def _chord_params(P: LatticePolygon, a: Vec, d: Vec) -> tuple[Fraction, Fraction]:
-    """Parameter range of the chord P ∩ {a + t*d} along the line through a.
+def _chord_params(P: LatticePolygon, a: Vec, d: Vec) -> list[tuple[int, int]] | None:
+    """Chord P ∩ {a + t*d} as parameters t = num/den with den > 0.
 
-    Only valid when the line actually splits the polygon (two crossings).
+    None when the line does not split P.  Otherwise the list holds t for each
+    vertex on the line and for each edge crossing it strictly, so its minimum
+    and maximum are the chord's endpoints.  With s the signed distance from
+    the line and w the projection on d (both scaled by |d|), an edge crossing
+    from (s0, w0) to (s1, w1) meets the line at t = (s0*w1 - s1*w0) /
+    (|d|^2 * (s0 - s1)).
     """
-    A, B = -d[1], d[0]
-    C = A * a[0] + B * a[1]
-    dd = d[0] * d[0] + d[1] * d[1]
-    vs = P.vertices
-    n = len(vs)
-    sides = [A * x + B * y - C for x, y in vs]
-    params: list[Fraction] = []
-    for i in range(n):
-        s0, s1 = sides[i], sides[(i + 1) % n]
-        u, v = vs[i], vs[(i + 1) % n]
-        if s0 == 0:
-            t = Fraction((u[0] - a[0]) * d[0] + (u[1] - a[1]) * d[1], dd)
-            params.append(t)
-        elif (s0 > 0 > s1) or (s0 < 0 < s1):
-            # Exact crossing point u + alpha*(v - u) with alpha = s0/(s0 - s1).
-            alpha = Fraction(s0, s0 - s1)
-            px = u[0] + alpha * (v[0] - u[0])
-            py = u[1] + alpha * (v[1] - u[1])
-            t = ((px - a[0]) * d[0] + (py - a[1]) * d[1]) / dd
-            params.append(t)
-    assert params, "chord requested for a non-crossing line"
-    return min(params), max(params)
+    dx, dy = d
+    ax, ay = a
+    dd = dx * dx + dy * dy
+    sides = []
+    dots = []
+    for x, y in P.vertices:
+        rx, ry = x - ax, y - ay
+        sides.append(dx * ry - dy * rx)
+        dots.append(dx * rx + dy * ry)
+    if not min(sides) < 0 < max(sides):
+        return None
+    params = []
+    s0, w0 = sides[-1], dots[-1]
+    for s1, w1 in zip(sides, dots):
+        if s1 == 0:
+            params.append((w1, dd))
+        elif s0 > 0 > s1:
+            params.append((s0 * w1 - s1 * w0, dd * (s0 - s1)))
+        elif s0 < 0 < s1:
+            params.append((s1 * w0 - s0 * w1, dd * (s1 - s0)))
+        s0, w0 = s1, w1
+    return params
 
 
 def splits_by_segment(P: LatticePolygon, seg: Segment) -> bool:
     """True iff the segment's line splits P and the chord lies inside the segment.
 
-    The chord P ∩ line is computed exactly with rational endpoints; the test
-    is containment of the closed chord in the closed segment.
+    The chord P ∩ line is located exactly by integer cross-multiplication;
+    the test is containment of the closed chord in the closed segment.
     """
-    if not splits_by_line(P, seg.line()):
-        return False
     d = (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1])
-    lo, hi = _chord_params(P, seg.a, d)
-    return lo >= 0 and hi <= 1
+    chord = _chord_params(P, seg.a, d)
+    return chord is not None and all(0 <= num <= den for num, den in chord)
 
 
 def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
     """Like splits_by_segment for the half-line origin + t*direction, t >= 0."""
     if direction == (0, 0):
         raise ValueError("zero direction")
-    line = (-direction[1], direction[0],
-            -direction[1] * origin[0] + direction[0] * origin[1])
-    if not splits_by_line(P, line):
-        return False
-    lo, _hi = _chord_params(P, origin, direction)
-    return lo >= 0
+    chord = _chord_params(P, origin, direction)
+    return chord is not None and all(num >= 0 for num, _den in chord)
 
 
-def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
-    """True iff no point of L lies in the polygon, boundary included."""
+def _points_of(P: LatticePolygon, L: Lattice2):
+    """Points of L inside or on the polygon, column by column (x, then y)."""
     x_min, x_max, y_min, y_max = P.bounding_box()
     p, q, r = L.p, L.q, L.r
     i = -(-x_min // p)  # first i with i*p >= x_min
@@ -266,10 +264,14 @@ def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
         y = y0 + -((y0 - y_min) // r) * r  # first y >= y_min in the class
         while y <= y_max:
             if contains_point(P, (x, y)) != "outside":
-                return False
+                yield (x, y)
             y += r
         i += 1
-    return True
+
+
+def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
+    """True iff no point of L lies in the polygon, boundary included."""
+    return next(_points_of(P, L), None) is None
 
 
 def area2_and_pick(P: LatticePolygon) -> tuple[int, int, int]:
@@ -307,23 +309,20 @@ def is_minimal(P: LatticePolygon) -> bool:
 
 
 def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
-    """Image polygon under an affine unimodular map, re-canonicalized."""
-    return from_points(m.apply(v) for v in P.vertices)
+    """Image polygon under an affine unimodular map, re-canonicalized.
+
+    A unimodular map keeps the polygon strictly convex; it reverses the
+    orientation exactly when its determinant is -1.
+    """
+    (a, b), (c, d) = m.linear.rows
+    sx, sy = m.shift
+    vs = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in P.vertices]
+    if a * d - b * c < 0:
+        vs.reverse()
+    k = vs.index(min(vs))
+    return LatticePolygon(tuple(vs[k:] + vs[:k]))
 
 
 def lattice_points_in(P: LatticePolygon, L: Lattice2) -> list[Vec]:
     """All points of L inside or on the polygon, in scan order."""
-    x_min, x_max, y_min, y_max = P.bounding_box()
-    p, q, r = L.p, L.q, L.r
-    found = []
-    i = -(-x_min // p)
-    while i * p <= x_max:
-        x = i * p
-        y0 = i * q
-        y = y0 + -((y0 - y_min) // r) * r
-        while y <= y_max:
-            if contains_point(P, (x, y)) != "outside":
-                found.append((x, y))
-            y += r
-        i += 1
-    return found
+    return list(_points_of(P, L))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lattice import AffineMap, UnimodularMap, scaled_lattice
 from .polygon import (
@@ -393,21 +394,27 @@ _SIGNED_PERMS = (
 )
 
 
-def _generators(P: LatticePolygon, n: int, bound: int):
-    """Candidate nZ^2-automorphisms to move P, in deterministic order."""
-    prof = cardinal_profile(P)
-    recenter = (-n * (prof.west // n), -n * (prof.south // n))
-    if recenter != (0, 0):
-        yield AffineMap.translation(recenter)
-    for rows in _SIGNED_PERMS:
-        yield AffineMap(UnimodularMap(rows))
+@lru_cache(maxsize=32)
+def _fixed_generators(n: int, bound: int) -> tuple[AffineMap, ...]:
+    """The generators that do not depend on the polygon, in search order."""
+    gens = [AffineMap(UnimodularMap(rows)) for rows in _SIGNED_PERMS]
     for a in range(1, bound + 1):
-        yield AffineMap(UnimodularMap(((1, 0), (-a, 1))))
-        yield AffineMap(UnimodularMap(((1, 0), (a, 1))))
-        yield AffineMap(UnimodularMap(((1, -a), (0, 1))))
-        yield AffineMap(UnimodularMap(((1, a), (0, 1))))
+        gens.append(AffineMap(UnimodularMap(((1, 0), (-a, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, 0), (a, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, -a), (0, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, a), (0, 1)))))
     for shift in ((n, 0), (-n, 0), (0, n), (0, -n)):
-        yield AffineMap.translation(shift)
+        gens.append(AffineMap.translation(shift))
+    return tuple(gens)
+
+
+def _generators(P: LatticePolygon, n: int, bound: int) -> tuple[AffineMap, ...]:
+    """Candidate nZ^2-automorphisms to move P, in deterministic order."""
+    west, _east, south, _north = P.bounding_box()
+    recenter = (-n * (west // n), -n * (south // n))
+    if recenter != (0, 0):
+        return (AffineMap.translation(recenter),) + _fixed_generators(n, bound)
+    return _fixed_generators(n, bound)
 
 
 def classify(P: LatticePolygon, n: int, search_bound: int = 6,

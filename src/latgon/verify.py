@@ -63,6 +63,11 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
         self.polygons_seen = polygons_seen
 
+    def __reduce__(self):
+        # Pool workers pickle the error back to the parent; the default
+        # reduction passes only the message to __init__.
+        return (type(self), (self.nodes, self.polygons_seen))
+
 
 @dataclass(frozen=True)
 class SearchRegion:

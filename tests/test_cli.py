@@ -315,6 +315,18 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+def test_budget_exhaustion_in_workers_exits():
+    # The budget runs out inside a pool worker, which must hand the error back
+    # to the parent instead of hanging the pool.
+    proc = subprocess.run(
+        [sys.executable, "-m", "latgon.cli", "verify-bound", "--n", "3",
+         "--region=-3,4,-3,4", "--budget", "20000", "--workers", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert '"exhaustive":false' in proc.stdout
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         ["latgon", "witness", "--delta", "2", "--n", "2",

@@ -273,6 +273,75 @@ def test_segment_split_implies_line_split(rng):
     assert hits > 20  # the property was actually exercised
 
 
+def chord_oracle(P, a, d):
+    """Rational chord [lo, hi] of P along a + t*d, or None if the line misses.
+
+    The reference for the integer chord kernel: every crossing point is built
+    as a Fraction and projected back onto the line.
+    """
+    line = (-d[1], d[0], -d[1] * a[0] + d[0] * a[1])
+    if not splits_by_line(P, line):
+        return None
+    A, B, C = line
+    dd = d[0] * d[0] + d[1] * d[1]
+    vs = P.vertices
+    n = len(vs)
+    params = []
+    for i in range(n):
+        u, v = vs[i], vs[(i + 1) % n]
+        s0 = A * u[0] + B * u[1] - C
+        s1 = A * v[0] + B * v[1] - C
+        if s0 == 0:
+            params.append(Fraction((u[0] - a[0]) * d[0] + (u[1] - a[1]) * d[1], dd))
+        elif (s0 > 0 > s1) or (s0 < 0 < s1):
+            alpha = Fraction(s0, s0 - s1)
+            px = u[0] + alpha * (v[0] - u[0])
+            py = u[1] + alpha * (v[1] - u[1])
+            params.append(((px - a[0]) * d[0] + (py - a[1]) * d[1]) / dd)
+    return min(params), max(params)
+
+
+def random_line_through_polygon(rng, P):
+    """A point and a nonzero direction, often through a vertex or along an edge."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = (rng.randint(-9, 9), rng.randint(-9, 9))
+        d = (rng.randint(-6, 6), rng.randint(-6, 6))
+    elif kind == 1:  # the line passes through a vertex
+        v = rng.choice(P.vertices)
+        d = (rng.randint(-4, 4), rng.randint(-4, 4))
+        s = rng.randint(-3, 2)
+        a = (v[0] + s * d[0], v[1] + s * d[1])
+    else:  # the line carries an edge
+        i = rng.randrange(len(P))
+        u, v = P.vertices[i], P.vertices[(i + 1) % len(P)]
+        s = rng.randint(-2, 1)
+        d = (v[0] - u[0], v[1] - u[1])
+        a = (u[0] + s * d[0], u[1] + s * d[1])
+        if rng.randrange(2):
+            d = (-d[0], -d[1])
+    return a, d
+
+
+def test_splits_by_segment_and_ray_match_rational_chords(rng):
+    outcomes = {"segment": set(), "ray": set()}
+    for _ in range(3000):
+        P = random_polygon(rng)
+        a, d = random_line_through_polygon(rng, P)
+        if d == (0, 0):
+            continue
+        chord = chord_oracle(P, a, d)
+        k = rng.randint(1, 3)
+        b = (a[0] + k * d[0], a[1] + k * d[1])
+        seg_expected = chord is not None and chord[0] >= 0 and chord[1] <= k
+        assert splits_by_segment(P, Segment(a, b)) == seg_expected, (P, a, b)
+        ray_expected = chord is not None and chord[0] >= 0
+        assert splits_by_ray(P, a, d) == ray_expected, (P, a, d)
+        outcomes["segment"].add(seg_expected)
+        outcomes["ray"].add(ray_expected)
+    assert outcomes == {"segment": {True, False}, "ray": {True, False}}
+
+
 # ---------------------------------------------------------------------------
 # Lattice freeness
 
@@ -381,6 +450,26 @@ def test_transform_preserves_count_and_freeness(rng):
         assert len(image) == len(P)
         assert is_free_of(P, scaled_lattice(k)) \
             == is_free_of(image, scaled_lattice(k))
+
+
+def test_transform_matches_hull_of_image(rng):
+    generators = (
+        UnimodularMap(((1, 1), (0, 1))),
+        UnimodularMap(((1, 0), (-1, 1))),
+        UnimodularMap(((0, -1), (1, 0))),
+        UnimodularMap(((1, 0), (0, -1))),
+        UnimodularMap(((0, 1), (1, 0))),
+    )
+    dets = set()
+    for _ in range(1000):
+        P = random_polygon(rng)
+        u = UnimodularMap.identity()
+        for _ in range(rng.randint(0, 4)):
+            u = u.compose(rng.choice(generators))
+        m = AffineMap(u, (rng.randint(-5, 5), rng.randint(-5, 5)))
+        assert transform(P, m) == from_points(m.apply(v) for v in P.vertices)
+        dets.add(u.det)
+    assert dets == {1, -1}
 
 
 # ---------------------------------------------------------------------------

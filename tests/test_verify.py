@@ -5,6 +5,8 @@ conftest (powerset filter and convex-position DFS), which share no code with
 it.  Campaign results on small regions are frozen after hand inspection.
 """
 
+import pickle
+
 import pytest
 
 from conftest import convex_polygons_dfs, convex_polygons_powerset
@@ -144,6 +146,14 @@ def test_enumerator_budget():
     assert exc.value.nodes > 100
     assert exc.value.polygons_seen >= 0
     assert "node budget exhausted" in str(exc.value)
+
+
+def test_budget_error_pickles():
+    err = BudgetExceededError(20001, 7)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BudgetExceededError
+    assert (back.nodes, back.polygons_seen) == (20001, 7)
+    assert str(back) == str(err)
 
 
 def test_node_budget_env(monkeypatch):
