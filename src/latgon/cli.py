@@ -53,6 +53,7 @@ from .verify import (
     check_vertex_bound,
     enumerate_convex_polygons,
     find_sharpness_witness,
+    verify_reduction_corpus,
 )
 
 
@@ -188,29 +189,36 @@ def _cmd_reduce(ns) -> int:
     return 0
 
 
-def _cmd_verify_bound(ns) -> int:
-    region = _parse_region(ns)
-    factors = _parse_factors(ns.factors) if ns.factors else None
-    report = check_vertex_bound(ns.n, ns.tag, factors, region,
-                                budget=ns.budget, workers=ns.workers)
-    _emit(encode_report(report))
+def _finish_report(report, payload) -> int:
+    _emit(payload)
     _note(f"{report.bound_name}: max found {report.max_vertices_found}, "
           f"{len(report.counterexamples)} counterexamples, "
           f"exhaustive={report.exhaustive}, "
           f"nodes={report.nodes_explored}")
     return _report_exit(report)
+
+
+def _cmd_verify_bound(ns) -> int:
+    region = _parse_region(ns)
+    factors = _parse_factors(ns.factors) if ns.factors else None
+    report = check_vertex_bound(ns.n, ns.tag, factors, region,
+                                budget=ns.budget, workers=ns.workers)
+    return _finish_report(report, encode_report(report))
 
 
 def _cmd_verify_main(ns) -> int:
     region = _parse_region(ns)
     report = check_main_theorem(ns.delta, ns.n, region,
                                 budget=ns.budget, workers=ns.workers)
-    _emit(encode_report(report))
-    _note(f"{report.bound_name}: max found {report.max_vertices_found}, "
-          f"{len(report.counterexamples)} counterexamples, "
-          f"exhaustive={report.exhaustive}, "
-          f"nodes={report.nodes_explored}")
-    return _report_exit(report)
+    return _finish_report(report, encode_report(report))
+
+
+def _cmd_verify_reductions(ns) -> int:
+    region = _parse_region(ns)
+    report, tally = verify_reduction_corpus(ns.n, region, budget=ns.budget,
+                                            workers=ns.workers)
+    return _finish_report(report, {"report": encode_report(report),
+                                   "tally": tally})
 
 
 def _cmd_witness(ns) -> int:
@@ -345,6 +353,14 @@ def _build_parser() -> _Parser:
     _add_region_flags(p)
     _add_budget_flags(p)
     p.set_defaults(func=_cmd_verify_main)
+
+    p = sub.add_parser("verify-reductions",
+                       help="classify every nZ^2-free polygon of a region "
+                            "and run its reduction pipeline")
+    p.add_argument("--n", type=int, required=True)
+    _add_region_flags(p)
+    _add_budget_flags(p)
+    p.set_defaults(func=_cmd_verify_reductions)
 
     p = sub.add_parser("witness", help="find a free polygon one vertex "
                                        "below the capture threshold")

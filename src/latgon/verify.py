@@ -5,14 +5,21 @@ composing primitive edge vectors in strict angular order (a closed convex
 chain whose edge vectors sum to zero), anchored at the polygon's
 lexicographically smallest vertex.  When a lattice to avoid is given, a
 partial chain is cut as soon as its hull picks up a forbidden point, and
-polygons are emitted once per translation class.  The campaign drivers wrap
-the enumerator into reports on the vertex-count bounds, the point-capture
-bound, sharpness witnesses, and the reduction pipelines.
+polygons are emitted once per translation class.
+
+Every campaign (the vertex-count bounds, the point-capture bound, sharpness
+witnesses, the reduction pipelines) runs through one driver.  Each anchor
+subtree is a task whose polygons the campaign's kernel folds into a small
+summary, in this process or in a pool worker; summaries merge in anchor
+order, and a pool task that ran past the budget left is run again with it,
+so no report depends on the worker count.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from math import gcd
@@ -262,24 +269,33 @@ def _canonical_corner(bbox: tuple[int, int, int, int], L: Lattice2,
 # ---------------------------------------------------------------------------
 # The enumerator core
 
-def _iter_from_anchor(anchor: Vec, region: SearchRegion, min_vertices: int,
-                      avoid: Lattice2 | None, dedup: bool,
-                      steps: tuple[Vec, ...], counter: list[int],
-                      budget: int, first_dir: int | None = None,
-                      ) -> Iterator[LatticePolygon]:
+@dataclass(frozen=True)
+class _Search:
+    """Polygons of `region` with >= `min_vertices` vertices, free of `avoid`
+    (one per translation class if `dedup`), vertices on `vertex_lattice`."""
+
+    region: SearchRegion
+    min_vertices: int
+    avoid: Lattice2 | None
+    dedup: bool
+    vertex_lattice: Lattice2 | None
+
+
+def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
+                      budget: int) -> Iterator[LatticePolygon]:
+    region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
     x_min, x_max = region.x_min, region.x_max
     y_min, y_max = region.y_min, region.y_max
+    steps = _direction_steps(region, search.vertex_lattice)
     n_dirs = len(steps)
     halves = tuple(_dir_half(d) for d in steps)
     past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
-    emit_min = max(3, min_vertices)
+    emit_min = max(3, search.min_vertices)
     verts: list[Vec] = [anchor]
 
     def rec(last: int, cx: int, cy: int) -> Iterator[LatticePolygon]:
-        lo = last + 1 if last >= 0 else (first_dir if first_dir is not None else 0)
-        hi = n_dirs if last >= 0 or first_dir is None else first_dir + 1
-        for j in range(lo, hi):
+        for j in range(last + 1, n_dirs):
             dx, dy = steps[j]
             px, py = cx, cy
             nx, ny = cx + dx, cy + dy
@@ -316,22 +332,18 @@ def _iter_from_anchor(anchor: Vec, region: SearchRegion, min_vertices: int,
     yield from rec(-1, ax, ay)
 
 
-def _anchor_columns(region: SearchRegion, avoid: Lattice2 | None,
-                    dedup: bool) -> int:
-    """Anchor x-extent: canonical placements keep the west edge near x_min."""
-    if avoid is not None and dedup and avoid.q == 0:
-        return min(region.x_max, region.x_min + avoid.p - 1)
-    return region.x_max
-
-
-def _anchors(region: SearchRegion, avoid: Lattice2 | None, dedup: bool,
-             vertex_lattice: Lattice2 | None) -> list[Vec]:
+def _anchors(search: _Search) -> list[Vec]:
+    region, avoid, vlat = search.region, search.avoid, search.vertex_lattice
+    x_max = region.x_max
+    if avoid is not None and search.dedup and avoid.q == 0:
+        # Canonical placements keep the west edge near x_min.
+        x_max = min(x_max, region.x_min + avoid.p - 1)
     out = []
-    for x in range(region.x_min, _anchor_columns(region, avoid, dedup) + 1):
+    for x in range(region.x_min, x_max + 1):
         for y in range(region.y_min, region.y_max + 1):
             if avoid is not None and contains(avoid, (x, y)):
                 continue
-            if vertex_lattice is not None and not contains(vertex_lattice, (x, y)):
+            if vlat is not None and not contains(vlat, (x, y)):
                 continue
             out.append((x, y))
     return out
@@ -351,21 +363,6 @@ def _direction_steps(region: SearchRegion,
     return tuple(out)
 
 
-def _enumerate(region: SearchRegion, min_vertices: int = 3,
-               avoid: Lattice2 | None = None, dedup: bool = True,
-               vertex_lattice: Lattice2 | None = None,
-               counter: list[int] | None = None,
-               budget: int | None = None) -> Iterator[LatticePolygon]:
-    if counter is None:
-        counter = [0, 0]
-    if budget is None:
-        budget = node_budget()
-    steps = _direction_steps(region, vertex_lattice)
-    for anchor in _anchors(region, avoid, dedup, vertex_lattice):
-        yield from _iter_from_anchor(anchor, region, min_vertices, avoid,
-                                     dedup, steps, counter, budget)
-
-
 def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
                               avoid: Lattice2 | None = None,
                               budget: int | None = None,
@@ -377,78 +374,73 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
     whose bounding-box corner is lex-least).  Raises BudgetExceededError when
     the chain-prefix node budget runs out.
     """
-    yield from _enumerate(region, min_vertices, avoid, dedup=True,
-                          budget=budget)
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool plumbing: tasks are (anchor, first-direction) subtrees.
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(region_tuple, min_vertices, avoid_triple, dedup,
-               vertex_triple, budget):
-    _POOL_STATE["region"] = SearchRegion(*region_tuple)
-    _POOL_STATE["min_vertices"] = min_vertices
-    _POOL_STATE["avoid"] = Lattice2(*avoid_triple) if avoid_triple else None
-    _POOL_STATE["dedup"] = dedup
-    _POOL_STATE["vertex_lattice"] = (
-        Lattice2(*vertex_triple) if vertex_triple else None
-    )
-    _POOL_STATE["budget"] = budget
-
-
-def _pool_task(anchor: Vec) -> tuple[list[tuple[Vec, ...]], int, int]:
-    region = _POOL_STATE["region"]
+    if budget is None:
+        budget = node_budget()
+    search = _Search(region, min_vertices, avoid, True, None)
     counter = [0, 0]
-    steps = _direction_steps(region, _POOL_STATE["vertex_lattice"])
-    found = [
-        poly.vertices
-        for poly in _iter_from_anchor(
-            anchor, region, _POOL_STATE["min_vertices"], _POOL_STATE["avoid"],
-            _POOL_STATE["dedup"], steps, counter, _POOL_STATE["budget"])
-    ]
-    return found, counter[0], counter[1]
-
-
-def _enumerate_parallel(region: SearchRegion, min_vertices: int,
-                        avoid: Lattice2 | None, dedup: bool,
-                        vertex_lattice: Lattice2 | None,
-                        counter: list[int], budget: int,
-                        workers: int) -> Iterator[LatticePolygon]:
-    """Partitioned enumeration, merged in deterministic anchor order."""
-    anchors = _anchors(region, avoid, dedup, vertex_lattice)
-    avoid_triple = (avoid.p, avoid.q, avoid.r) if avoid else None
-    vertex_triple = (
-        (vertex_lattice.p, vertex_lattice.q, vertex_lattice.r)
-        if vertex_lattice else None
-    )
-    init_args = ((region.x_min, region.x_max, region.y_min, region.y_max),
-                 min_vertices, avoid_triple, dedup, vertex_triple, budget)
-    with Pool(workers, initializer=_pool_init, initargs=init_args) as pool:
-        for found, nodes, seen in pool.map(_pool_task, anchors):
-            counter[0] += nodes
-            counter[1] += seen
-            if counter[0] > budget:
-                raise BudgetExceededError(counter[0], counter[1])
-            for verts in found:
-                yield LatticePolygon(verts)
-
-
-def _stream(region: SearchRegion, min_vertices: int, avoid: Lattice2 | None,
-            dedup: bool, vertex_lattice: Lattice2 | None,
-            counter: list[int], budget: int,
-            workers: int) -> Iterator[LatticePolygon]:
-    if workers > 1:
-        return _enumerate_parallel(region, min_vertices, avoid, dedup,
-                                   vertex_lattice, counter, budget, workers)
-    return _enumerate(region, min_vertices, avoid, dedup, vertex_lattice,
-                      counter, budget)
+    for anchor in _anchors(search):
+        yield from _iter_from_anchor(anchor, search, counter, budget)
 
 
 # ---------------------------------------------------------------------------
-# Campaign drivers
+# The campaign driver: one task per (search, anchor) subtree, whose polygons
+# kernel(polygons, search, *args) folds into a summary.
+
+def _run_task(task: tuple) -> tuple:
+    """(summary, nodes, polygons seen, budget exhausted) for one task.
+
+    Running out of budget ends the kernel's input; it does not raise.
+    """
+    kernel, args, search, anchor, budget = task
+    counter = [0, 0]
+    exhausted = False
+
+    def polygons() -> Iterator[LatticePolygon]:
+        nonlocal exhausted
+        try:
+            yield from _iter_from_anchor(anchor, search, counter, budget)
+        except BudgetExceededError:
+            exhausted = True
+
+    summary = kernel(polygons(), search, *args)
+    return summary, counter[0], counter[1], exhausted
+
+
+def _campaign(kernel, args: tuple, searches: list[_Search],
+              budget: int | None, workers: int) -> Iterator[tuple]:
+    """Yield (summary, nodes, polygons seen, exhausted) per task, in order.
+
+    Nodes and polygons seen are running totals, and the task that exhausts
+    the budget is the last.  A serial task gets the budget that is left.
+    Pool tasks run ahead with the whole budget; the one whose nodes cross
+    what is left is run again here with what is left.  So every worker count
+    yields what workers=1 yields.
+    """
+    if budget is None:
+        budget = node_budget()
+    tasks = [(kernel, args, search, anchor)
+             for search in searches for anchor in _anchors(search)]
+    nodes = seen = 0
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
+        if pool is None:
+            # map is lazy: each task is built after the one before it merged.
+            results = map(_run_task,
+                          (task + (budget - nodes,) for task in tasks))
+        else:
+            results = pool.imap(_run_task, [task + (budget,) for task in tasks])
+        for task, (summary, t_nodes, t_seen, exhausted) in zip(tasks, results):
+            if pool is not None and nodes and t_nodes > budget - nodes:
+                summary, t_nodes, t_seen, exhausted = _run_task(
+                    task + (budget - nodes,))
+            nodes += t_nodes
+            seen += t_seen
+            yield summary, nodes, seen, exhausted
+            if exhausted:
+                return
+
+
+# ---------------------------------------------------------------------------
+# Campaigns
 
 def capture_threshold(delta: int, n: int) -> int:
     """Vertex count from which every polygon must contain a lattice point."""
@@ -475,6 +467,40 @@ def _vertex_bound(n: int, factors: InvariantFactors | None) -> int:
     )
 
 
+def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
+                tag: str, limit: int):
+    """The first largest polygon carrying `tag`, and every re-verified one
+    with more than `limit` vertices."""
+    best, over = None, []
+    for poly in polygons:
+        if tag != "any" and tag not in polygon_types(poly, n):
+            continue
+        if best is None or len(poly) > len(best):
+            best = poly
+        if len(poly) > limit and _reverify(poly, search.avoid, n, tag):
+            over.append(poly)
+    return best, over
+
+
+def _max_report(bound_name: str, n: int, delta: int, region: SearchRegion,
+                searches: list[_Search], kernel_args: tuple,
+                budget: int | None, workers: int) -> BoundReport:
+    """Merge the _max_kernel summaries of the searches, in task order."""
+    best, over, nodes, exhausted = None, [], 0, False
+    for (task_best, task_over), nodes, _seen, exhausted in _campaign(
+            _max_kernel, kernel_args, searches, budget, workers):
+        if task_best is not None and (best is None
+                                      or len(task_best) > len(best)):
+            best = task_best
+        over += task_over
+    return BoundReport(
+        bound_name=bound_name, n=n, delta=delta, region=region,
+        max_vertices_found=len(best) if best else 0, witness=best,
+        counterexamples=tuple(over), exhaustive=not exhausted,
+        nodes_explored=nodes,
+    )
+
+
 def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None,
                        region: SearchRegion, budget: int | None = None,
                        workers: int = 1) -> BoundReport:
@@ -490,8 +516,6 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
         raise ValueError(f"vertex bounds need scale n >= 3, got {n}")
     if tag != "any":
         PolygonType(tag, n)  # validates the tag
-    if budget is None:
-        budget = node_budget()
     bound = _vertex_bound(n, vertex_lattice)
     if vertex_lattice is None:
         name = f"vertex-count<={bound}"
@@ -500,34 +524,11 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
         name = (f"vertex-count<={bound}[factors=({vertex_lattice.delta},"
                 f"{vertex_lattice.n})]")
         families = list(_lattice_family(vertex_lattice.delta, vertex_lattice.n))
-    avoid = scaled_lattice(n)
-    dedup = tag == "any"
-    counter = [0, 0]
-    best: LatticePolygon | None = None
-    max_found = 0
-    counterexamples: list[LatticePolygon] = []
-    exhaustive = True
-    try:
-        for vlat in families:
-            for poly in _stream(region, 3, avoid, dedup, vlat, counter,
-                                budget, workers):
-                if tag != "any" and tag not in polygon_types(poly, n):
-                    continue
-                if len(poly) > max_found:
-                    max_found = len(poly)
-                    best = poly
-                if len(poly) > bound:
-                    counterexamples.append(poly)
-    except BudgetExceededError:
-        exhaustive = False
-    counterexamples = [p for p in counterexamples if _reverify(p, avoid, n, tag)]
-    return BoundReport(
-        bound_name=name, n=n,
-        delta=vertex_lattice.delta if vertex_lattice else 1,
-        region=region, max_vertices_found=max_found, witness=best,
-        counterexamples=tuple(counterexamples), exhaustive=exhaustive,
-        nodes_explored=counter[0],
-    )
+    searches = [_Search(region, 3, scaled_lattice(n), tag == "any", vlat)
+                for vlat in families]
+    return _max_report(name, n,
+                       vertex_lattice.delta if vertex_lattice else 1, region,
+                       searches, (n, tag, bound), budget, workers)
 
 
 def _reverify(poly: LatticePolygon, avoid: Lattice2, n: int, tag: str) -> bool:
@@ -552,31 +553,21 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
     """
     if delta < 1 or n % delta or delta * n < 2:
         raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
-    if budget is None:
-        budget = node_budget()
     nu = capture_threshold(delta, n)
-    counter = [0, 0]
-    max_found = 0
-    best = None
-    counterexamples: list[LatticePolygon] = []
-    exhaustive = True
-    try:
-        for lat in _lattice_family(delta, n):
-            for poly in _stream(region, 3, lat, True, None, counter,
-                                budget, workers):
-                if len(poly) > max_found:
-                    max_found = len(poly)
-                    best = poly
-                if len(poly) >= nu and is_free_of(poly, lat):
-                    counterexamples.append(poly)
-    except BudgetExceededError:
-        exhaustive = False
-    return BoundReport(
-        bound_name=f"capture-at-{nu}-vertices", n=n, delta=delta,
-        region=region, max_vertices_found=max_found, witness=best,
-        counterexamples=tuple(counterexamples), exhaustive=exhaustive,
-        nodes_explored=counter[0],
-    )
+    searches = [_Search(region, 3, lat, True, None)
+                for lat in _lattice_family(delta, n)]
+    return _max_report(f"capture-at-{nu}-vertices", n, delta, region,
+                       searches, (n, "any", nu - 1), budget, workers)
+
+
+def _first_kernel(polygons: Iterator[LatticePolygon], search: _Search,
+                  size: int) -> LatticePolygon | None:
+    """The first polygon with exactly `size` vertices, if any."""
+    for poly in polygons:
+        if len(poly) == size:
+            assert is_free_of(poly, search.avoid)
+            return poly
+    return None
 
 
 def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
@@ -586,22 +577,46 @@ def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
 
     Returns None when the threshold leaves no room for a polygon (fewer than
     3 vertices) or when the region holds no witness; neither is a refutation.
+    Raises BudgetExceededError when the budget runs out before a witness.
     """
     if delta < 1 or n % delta or delta * n < 2:
         raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
-    if budget is None:
-        budget = node_budget()
     target = capture_threshold(delta, n) - 1
     if target < 3:
         return None
-    lat = _lattice_family(delta, n)[0]
-    counter = [0, 0]
-    for poly in _stream(region, target, lat, True, None, counter, budget,
-                        workers):
-        if len(poly) == target:
-            assert is_free_of(poly, lat)
-            return poly
+    search = _Search(region, target, _lattice_family(delta, n)[0], True, None)
+    for found, nodes, seen, exhausted in _campaign(
+            _first_kernel, (target,), [search], budget, workers):
+        if found is not None:
+            return found
+        if exhausted:
+            raise BudgetExceededError(nodes, seen)
     return None
+
+
+def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
+                   n: int, search_bound: int):
+    """Classify each polygon and run its reduction pipeline.
+
+    Returns the tally, the polygons that failed, and the largest size seen.
+    """
+    pipelines = {"V": reduce_type_v, "VI": reduce_type_vi,
+                 "IV": reduce_type_iv}
+    tally: Counter[str] = Counter()
+    failures: list[LatticePolygon] = []
+    max_found = 0
+    for poly in polygons:
+        tally["total"] += 1
+        max_found = max(max_found, len(poly))
+        try:
+            m, ptype = classify(poly, n, search_bound=search_bound)
+            tally[ptype.tag] += 1
+            if ptype.tag in pipelines:
+                pipelines[ptype.tag](transform(poly, m), n)
+                tally["reduced_" + ptype.tag.lower()] += 1
+        except (RuntimeError, AssertionError):
+            failures.append(poly)
+    return tally, failures, max_found
 
 
 def verify_reduction_corpus(n: int, region: SearchRegion,
@@ -618,38 +633,22 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     """
     if n not in (3, 4):
         raise ValueError(f"the reduction corpus runs at desk scale (3 or 4), got {n}")
-    if budget is None:
-        budget = node_budget()
-    avoid = scaled_lattice(n)
-    counter = [0, 0]
-    tally: dict[str, int] = {tag: 0 for tag in
-                             ("I", "II", "III", "IV", "V", "VI", "Va")}
-    tally.update(total=0, reduced_v=0, reduced_vi=0, reduced_iv=0)
-    pipelines = {"V": reduce_type_v, "VI": reduce_type_vi,
-                 "IV": reduce_type_iv}
+    search = _Search(region, 3, scaled_lattice(n), True, None)
+    tally = dict.fromkeys(("I", "II", "III", "IV", "V", "VI", "Va", "total",
+                           "reduced_v", "reduced_vi", "reduced_iv"), 0)
     failures: list[LatticePolygon] = []
-    max_found = 0
-    exhaustive = True
-    try:
-        for poly in _stream(region, 3, avoid, True, None, counter, budget,
-                            workers):
-            tally["total"] += 1
-            max_found = max(max_found, len(poly))
-            try:
-                m, ptype = classify(poly, n, search_bound=search_bound)
-                tally[ptype.tag] += 1
-                if ptype.tag in pipelines:
-                    pipelines[ptype.tag](transform(poly, m), n)
-                    tally["reduced_" + ptype.tag.lower()] += 1
-            except (RuntimeError, AssertionError):
-                failures.append(poly)
-    except BudgetExceededError:
-        exhaustive = False
+    max_found, nodes, exhausted = 0, 0, False
+    for (part, part_failures, part_max), nodes, _seen, exhausted in _campaign(
+            _corpus_kernel, (n, search_bound), [search], budget, workers):
+        for key, count in part.items():
+            tally[key] += count
+        failures += part_failures
+        max_found = max(max_found, part_max)
     report = BoundReport(
         bound_name="reduction-coverage", n=n, delta=n, region=region,
         max_vertices_found=max_found, witness=None,
-        counterexamples=tuple(failures), exhaustive=exhaustive,
-        nodes_explored=counter[0],
+        counterexamples=tuple(failures), exhaustive=not exhausted,
+        nodes_explored=nodes,
     )
     return report, tally
 

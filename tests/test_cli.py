@@ -98,6 +98,23 @@ def test_verify_main_workers_do_not_change_output(capsys):
     assert par[1] == base[1]
 
 
+def test_verify_reductions_tally(capsys):
+    base = run_cli(capsys, "verify-reductions", "--n", "3",
+                   "--region=-2,4,-1,1")
+    par = run_cli(capsys, "verify-reductions", "--n", "3",
+                  "--region=-2,4,-1,1", "--workers", "2")
+    assert par[0] == base[0] == 0
+    assert par[1] == base[1]
+    out = json.loads(base[1])
+    assert out["tally"] == {"I": 390, "II": 0, "III": 0, "IV": 0, "V": 62,
+                            "VI": 52, "Va": 19, "total": 523, "reduced_v": 62,
+                            "reduced_vi": 52, "reduced_iv": 0}
+    assert out["report"]["exhaustive"]
+    assert out["report"]["nodes_explored"] == 7170
+    assert base[1] == json.dumps(out, sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+
+
 def test_verify_bound_small_region(capsys):
     code, out, _ = run_cli(
         capsys, "verify-bound", "--n", "3", "--region", "0,5,0,5",
@@ -316,15 +333,22 @@ def test_help_exits_zero(capsys):
 
 
 def test_budget_exhaustion_in_workers_exits():
-    # The budget runs out inside a pool worker, which must hand the error back
-    # to the parent instead of hanging the pool.
-    proc = subprocess.run(
-        [sys.executable, "-m", "latgon.cli", "verify-bound", "--n", "3",
-         "--region=-3,4,-3,4", "--budget", "20000", "--workers", "2"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 3
-    assert '"exhaustive":false' in proc.stdout
+    # The budget runs out inside a pool worker: the command must exit, and
+    # print what it prints at one worker, byte for byte.
+    for budget in (20000, 1000000):
+        out = {}
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "latgon.cli", "verify-bound", "--n",
+                 "3", "--region=-3,4,-3,4", "--budget", str(budget),
+                 "--workers", workers],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 3
+            out[workers] = proc.stdout
+        assert '"exhaustive":false' in out["2"]
+        assert f'"nodes_explored":{budget + 1},' in out["1"]
+        assert out["2"] == out["1"]
 
 
 def test_console_script_installed():
