@@ -114,16 +114,19 @@ def decode_report(obj: dict) -> BoundReport:
     )
 
 
+def _decode_basis(obj: dict) -> SignedBasis:
+    return SignedBasis(tuple(int(c) for c in obj["f1"]),
+                       tuple(int(c) for c in obj["f2"]))
+
+
 def encode_slope(q: Slope) -> dict:
     return {"basis": {"f1": list(q.basis.f1), "f2": list(q.basis.f2)},
             "vertices": [[x, y] for x, y in q.vertices]}
 
 
 def decode_slope(obj: dict) -> Slope:
-    b = obj["basis"]
-    basis = SignedBasis(tuple(int(c) for c in b["f1"]),
-                        tuple(int(c) for c in b["f2"]))
-    return Slope(basis, tuple((int(x), int(y)) for x, y in obj["vertices"]))
+    return Slope(_decode_basis(obj["basis"]),
+                 tuple((int(x), int(y)) for x, y in obj["vertices"]))
 
 
 def encode_frame(f: Frame) -> dict:
@@ -132,7 +135,5 @@ def encode_frame(f: Frame) -> dict:
 
 
 def decode_frame(obj: dict) -> Frame:
-    b = obj["basis"]
-    basis = SignedBasis(tuple(int(c) for c in b["f1"]),
-                        tuple(int(c) for c in b["f2"]))
-    return Frame(tuple(int(c) for c in obj["origin"]), basis)
+    return Frame(tuple(int(c) for c in obj["origin"]),
+                 _decode_basis(obj["basis"]))

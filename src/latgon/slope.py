@@ -12,9 +12,12 @@ classification theorems quantitative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import accumulate
 from math import gcd
 
-from .lattice import SIGNED_AXES, Lattice2, Vec, contains, span_of_points, step_profile
+from .lattice import (SIGNED_AXES, Lattice2, Vec, contains, scaled_lattice,
+                      span_of_points, step_profile)
 from .polygon import LatticePolygon, cardinal_profile, contains_point, splits_by_ray
 
 #: All eight signed bases (ordered pairs of perpendicular signed axes).
@@ -79,14 +82,10 @@ class Slope:
     vertices: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        vs = self.vertices
-        if not vs:
+        if not self.vertices:
             raise SlopeError("a slope needs at least one vertex", "empty")
-        steps = []
-        for i in range(1, len(vs)):
-            dx = vs[i][0] - vs[i - 1][0]
-            dy = vs[i][1] - vs[i - 1][1]
-            a = self.basis.coords((dx, dy))
+        steps = self.steps()
+        for i, a in enumerate(steps, 1):
             if a[0] <= 0:
                 raise SlopeError(
                     f"edge {i} has non-increasing first coordinate: {a}",
@@ -97,7 +96,6 @@ class Slope:
                     f"edge {i} has non-decreasing second coordinate: {a}",
                     "second-coord-not-decreasing",
                 )
-            steps.append(a)
         for i in range(1, len(steps)):
             a, b = steps[i - 1], steps[i]
             if a[0] * b[1] - a[1] * b[0] <= 0:
@@ -112,12 +110,9 @@ class Slope:
 
     def steps(self) -> list[Vec]:
         """Edge vectors in basis coordinates."""
-        out = []
-        for i in range(1, len(self.vertices)):
-            dx = self.vertices[i][0] - self.vertices[i - 1][0]
-            dy = self.vertices[i][1] - self.vertices[i - 1][1]
-            out.append(self.basis.coords((dx, dy)))
-        return out
+        vs = self.vertices
+        return [self.basis.coords((b[0] - a[0], b[1] - a[1]))
+                for a, b in zip(vs, vs[1:])]
 
     def total_step(self) -> Vec:
         """Sum of the edge vectors in basis coordinates."""
@@ -222,15 +217,32 @@ def _oriented_frame_coords(f: Frame, q: Slope) -> list[Vec]:
     The slope's basis must be the frame's basis or its swap; with the swap
     the traversal reverses.
     """
-    if q.basis == f.basis:
-        ordered = q.vertices
-    elif q.basis == f.basis.swapped():
-        ordered = tuple(reversed(q.vertices))
-    else:
+    if q.basis not in (f.basis, f.basis.swapped()):
         raise ValueError(
             f"slope basis {q.basis} matches neither the frame basis nor its swap"
         )
+    ordered = q.vertices if q.basis == f.basis else reversed(q.vertices)
     return [f.coords(v) for v in ordered]
+
+
+def _split_crossing(f: Frame, q: Slope) -> tuple[list[Vec], int] | None:
+    """Oriented frame coordinates and crossing index, or None if no split.
+
+    The crossing index i is that of the first vertex with w <= 0, so the
+    chain meets the ray w=0 on the edge from vertex i-1 to vertex i.
+    """
+    uw = _oriented_frame_coords(f, q)
+    first, last = uw[0], uw[-1]
+    if not (first[0] < 0 < first[1] and last[1] < 0 < last[0]):
+        return None
+    # w decreases strictly along the chain, from first[1] > 0 to last[1] < 0.
+    i = next(i for i, (_, w) in enumerate(uw) if w <= 0)
+    (u0, w0), (u1, w1) = uw[i - 1], uw[i]
+    # The crossing is at u0 + (u1-u0)*w0/(w0-w1) with w0 > 0 >= w1; the
+    # denominator is positive, so u > 0 is an integer test.
+    if u1 * w0 - u0 * w1 <= 0:
+        return None
+    return uw, i
 
 
 def frame_splits(f: Frame, q: Slope) -> bool:
@@ -239,28 +251,17 @@ def frame_splits(f: Frame, q: Slope) -> bool:
     True iff, in frame coordinates, the chain runs from (u<0, w>0) to
     (u>0, w<0) and its unique crossing of the ray w=0 happens at u > 0.
     """
-    uw = _oriented_frame_coords(f, q)
-    if len(uw) < 2:
-        return False
-    v1, v2 = uw[0]
-    w1, w2 = uw[-1]
-    if not (v1 < 0 < v2 and w2 < 0 < w1):
-        return False
-    return _crossing_u_positive(uw)
+    return _split_crossing(f, q) is not None
 
 
-def _crossing_u_positive(uw: list[Vec]) -> bool:
-    # w decreases strictly along the chain; find where it reaches 0.
-    for i in range(1, len(uw)):
-        u0, w0 = uw[i - 1]
-        u1, w1 = uw[i]
-        if w1 == 0:
-            return u1 > 0
-        if w1 < 0:
-            # Crossing inside this edge at u0 + (u1-u0)*w0/(w0-w1); the
-            # denominator is positive, so positivity is an integer test.
-            return u1 * w0 - u0 * w1 > 0
-    raise AssertionError("no crossing despite sign change")  # pragma: no cover
+def _small_angle(uw: list[Vec], i: int) -> bool:
+    """Does the crossing at index i (see _split_crossing) form a small angle?"""
+
+    def shallow(j: int) -> bool:
+        return uw[j][0] - uw[j - 1][0] + uw[j][1] - uw[j - 1][1] >= 0
+
+    # A crossing on vertex i may realize the small angle on either edge.
+    return shallow(i) or (uw[i][1] == 0 and shallow(i + 1))
 
 
 def forms_small_angle(f: Frame, q: Slope) -> bool:
@@ -270,22 +271,10 @@ def forms_small_angle(f: Frame, q: Slope) -> bool:
     vertex, either incident edge may realize the small angle; exactly 45
     degrees counts.
     """
-    if not frame_splits(f, q):
+    split = _split_crossing(f, q)
+    if split is None:
         raise ValueError("slope does not split the frame")
-    uw = _oriented_frame_coords(f, q)
-    for i in range(1, len(uw)):
-        u0, w0 = uw[i - 1]
-        u1, w1 = uw[i]
-        if w1 == 0:
-            du, dw = u1 - u0, w1 - w0
-            if du + dw >= 0:
-                return True
-            u2, w2 = uw[i + 1]
-            return (u2 - u1) + (w2 - w1) >= 0
-        if w1 < 0:
-            du, dw = u1 - u0, w1 - w0
-            return du + dw >= 0
-    raise AssertionError("no crossing despite frame_splits")  # pragma: no cover
+    return _small_angle(*split)
 
 
 def check_slp_witness(q: Slope, vertex_lattice: Lattice2 | None = None,
@@ -301,7 +290,16 @@ def check_slp_witness(q: Slope, vertex_lattice: Lattice2 | None = None,
     """
     N = q.edge_count
     b1, b2 = q.total_step()
-    assert b1 >= N and -b2 >= N
+    # (a, m) = (1, 1) is Z^2 itself, whose bound a*s + m*s*(s-1)/2 is s(s+1)/2.
+    a, m = (1, 1) if shear is None else shear
+    if not 1 <= a <= m:
+        raise ValueError(f"shear parameters need 1 <= a <= m, got {shear}")
+    for v in q.vertices:
+        alpha, beta = q.basis.coords(v)
+        if (beta + a * alpha) % m:
+            raise ValueError(
+                f"vertex {v} is not in the shear lattice with (a, m) = {shear}"
+            )
     if vertex_lattice is not None:
         for v in q.vertices:
             if not contains(vertex_lattice, v):
@@ -313,21 +311,8 @@ def check_slp_witness(q: Slope, vertex_lattice: Lattice2 | None = None,
             raise WitnessNotFound(
                 f"2N <= |b1| fails ({2 * N} > {b1}) despite small step {small}"
             )
-    if shear is not None:
-        a, m = shear
-        if not 1 <= a <= m:
-            raise ValueError(f"shear parameters need 1 <= a <= m, got {shear}")
-        for v in q.vertices:
-            alpha, beta = q.basis.coords(v)
-            if (beta + a * alpha) % m:
-                raise ValueError(
-                    f"vertex {v} is not in the shear lattice with (a, m) = {shear}"
-                )
     for s in range(N + 1):
-        if 2 * N > b1 + s:
-            continue
-        bound = a * s + m * s * (s - 1) // 2 if shear else s * (s + 1) // 2
-        if -b2 >= bound:
+        if 2 * N <= b1 + s and -b2 >= a * s + m * s * (s - 1) // 2:
             return s
     raise WitnessNotFound(f"no witness in [0, {N}] for slope with b=({b1},{b2})")
 
@@ -346,50 +331,30 @@ def check_th36_witness(f: Frame, q: Slope) -> tuple[int, int]:
 
     The derived bounds 2N <= v2 + w1 (small angle: minus ceil(-w2/2) - 1),
     and 2N <= v2 + w1 - 1 when the vertices relative to the frame origin
-    span a proper subgroup of Z^2, are asserted on the way out.
+    span a proper subgroup of Z^2, are checked on the way out; a failure
+    raises WitnessNotFound, as does a missing witness.
     """
-    if not frame_splits(f, q):
+    split = _split_crossing(f, q)
+    if split is None:
         raise ValueError("slope does not split the frame")
-    uw = _oriented_frame_coords(f, q)
-    v1, v2 = uw[0]
-    w1, w2 = uw[-1]
+    uw, i = split
+    (v1, v2), (w1, w2) = uw[0], uw[-1]
     N = q.edge_count
-    sa = forms_small_angle(f, q)
-    ceil_term = (-w2 + 1) // 2
+    # The small-angle term ceil(-w2/2) - 1 is >= 0 since w2 < 0.
+    cut = (-w2 + 1) // 2 - 1 if _small_angle(uw, i) else 0
     limit = v2 + w1
-    found = None
-    for s in range(0, min(v2, limit) + 1):
-        for t in range(s, limit + 1):
-            if -v1 >= t * s - (s * s - s) // 2 + (v2 - s) * (t + 1):
-                continue
-            bound = limit - t + s
-            ok = 2 * N <= bound - ceil_term + 1 if sa else 2 * N <= bound
-            if ok:
-                found = (s, t)
-                break
-        if found:
-            break
+    found = next(((s, t) for s in range(min(v2, limit) + 1)
+                  for t in range(s, limit + 1)
+                  if -v1 < t * s - (s * s - s) // 2 + (v2 - s) * (t + 1)
+                  and 2 * N <= limit - t + s - cut), None)
+    coords = f"N={N}, v=({v1},{v2}), w=({w1},{w2})"
     if found is None:
         raise WitnessNotFound(
-            f"no witness with 0 <= s <= t <= {limit} for N={N}, "
-            f"v=({v1},{v2}), w=({w1},{w2})"
-        )
-    assert 2 * N <= limit
-    if sa:
-        assert 2 * N <= limit - ceil_term + 1
+            f"no witness with 0 <= s <= t <= {limit} for {coords}")
     rel = [(x - f.origin[0], y - f.origin[1]) for x, y in q.vertices]
-    if span_of_points(rel) != 1:
-        assert 2 * N <= limit - 1
+    if 2 * N > limit - cut or (span_of_points(rel) != 1 and 2 * N > limit - 1):
+        raise WitnessNotFound(f"a derived bound fails for {coords}")
     return found
-
-
-#: Which maximal slope a frame splits, by the frame's basis.
-_FRAME_QUADRANT = {
-    ((-1, 0), (0, 1)): 1, ((0, 1), (-1, 0)): 1,
-    ((0, -1), (-1, 0)): 2, ((-1, 0), (0, -1)): 2,
-    ((1, 0), (0, -1)): 3, ((0, -1), (1, 0)): 3,
-    ((0, 1), (1, 0)): 4, ((1, 0), (0, 1)): 4,
-}
 
 
 def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
@@ -405,7 +370,9 @@ def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
     for ray in (f.basis.f1, f.basis.f2):
         if not splits_by_ray(P, f.origin, ray):
             raise ValueError(f"frame ray {ray} from {f.origin} does not split")
-    k = _FRAME_QUADRANT[(f.basis.f1, f.basis.f2)]
+    # Slope k is read in basis QUADRANT_BASES[k]; the frame uses it or its swap.
+    k = next(k for k in range(1, 5)
+             if QUADRANT_BASES[k] in (f.basis, f.basis.swapped()))
     qk = maximal_slopes(P).slopes()[k - 1]
     assert frame_splits(f, qk), (
         f"maximal slope {k} fails to split the frame: bug or counterexample"
@@ -416,35 +383,44 @@ def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
 # ---------------------------------------------------------------------------
 # Random instance generators (used by the fuzz suites and the CLI).
 
+def _random_chain(rng, basis: SignedBasis, max_edges: int, tries: int,
+                  step_box, start_box, a: int = 0, m: int = 1) -> Slope:
+    """A slope of up to max_edges steps drawn from step_box, from start_box.
+
+    A box ((x_lo, x_hi), (y_lo, y_hi)) yields (x, -a*x + m*y) for uniform
+    x and y, drawn in that order; (a, m) = (0, 1) keeps (x, y).  At most
+    `tries` steps are drawn; a step with non-negative second coordinate is
+    dropped, and of steps with one direction the first stays.
+    """
+    def draw(box) -> Vec:
+        (x_lo, x_hi), (y_lo, y_hi) = box
+        x = rng.randint(x_lo, x_hi)
+        return (x, -a * x + m * rng.randint(y_lo, y_hi))
+
+    n_edges = rng.randint(0, max_edges)
+    by_direction: dict[Vec, Vec] = {}
+    for _ in range(tries):
+        if len(by_direction) >= n_edges:
+            break
+        a1, a2 = draw(step_box)
+        if a2 < 0:
+            g = gcd(a1, -a2)
+            by_direction.setdefault((a1 // g, a2 // g), (a1, a2))
+    # With a1 > 0, increasing ratio a2/a1 is exactly a counterclockwise turn.
+    steps = sorted(by_direction.values(),
+                   key=cmp_to_key(lambda p, r: p[1] * r[0] - r[1] * p[0]))
+    coords = accumulate(steps, lambda c, d: (c[0] + d[0], c[1] + d[1]),
+                        initial=draw(start_box))
+    return Slope(basis, tuple(basis.point(c) for c in coords))
+
+
 def random_slope(rng, basis: SignedBasis | None = None, max_edges: int = 5,
                  coord_range: int = 12) -> Slope:
     """A random valid slope with up to max_edges edges."""
     if basis is None:
         basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
-    n_edges = rng.randint(0, max_edges)
-    by_ratio: dict[tuple[int, int], Vec] = {}
-    guard = 0
-    while len(by_ratio) < n_edges and guard < 200:
-        guard += 1
-        a1 = rng.randint(1, 9)
-        a2 = rng.randint(-9, -1)
-        g = gcd(a1, -a2)
-        by_ratio.setdefault((a1 // g, a2 // g), (a1, a2))
-    # Increasing ratio a2/a1 is exactly a counterclockwise turn here.
-    steps = sorted(by_ratio.values(), key=_ratio_key)
-    u = rng.randint(-coord_range, coord_range)
-    w = rng.randint(-coord_range, coord_range)
-    coords = [(u, w)]
-    for a1, a2 in steps:
-        u, w = u + a1, w + a2
-        coords.append((u, w))
-    return Slope(basis, tuple(basis.point(c) for c in coords))
-
-
-def _ratio_key(a: Vec):
-    from fractions import Fraction
-
-    return Fraction(a[1], a[0])
+    box = (-coord_range, coord_range)
+    return _random_chain(rng, basis, max_edges, 200, ((1, 9), (-9, -1)), (box, box))
 
 
 def random_shear_slope(rng, max_edges: int = 4) -> tuple[Slope, tuple[int, int]]:
@@ -452,27 +428,38 @@ def random_shear_slope(rng, max_edges: int = 4) -> tuple[Slope, tuple[int, int]]
     basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
     m = rng.randint(1, 3)
     a = rng.randint(1, m)
-    n_edges = rng.randint(0, max_edges)
-    by_ratio: dict = {}
-    guard = 0
-    while len(by_ratio) < n_edges and guard < 300:
-        guard += 1
-        dx = rng.randint(1, 4)
-        dy = rng.randint(-4, 0)
-        step = (dx, -a * dx + m * dy)
-        if step[1] >= 0:
-            continue
-        g = gcd(step[0], -step[1])
-        by_ratio.setdefault((step[0] // g, step[1] // g), step)
-    steps = sorted(by_ratio.values(), key=_ratio_key)
-    x0 = rng.randint(-3, 3)
-    y0 = rng.randint(-3, 3)
-    u, w = x0, -a * x0 + m * y0
-    coords = [(u, w)]
-    for s1, s2 in steps:
-        u, w = u + s1, w + s2
-        coords.append((u, w))
-    return Slope(basis, tuple(basis.point(c) for c in coords)), (a, m)
+    return _random_chain(rng, basis, max_edges, 300, ((1, 4), (-4, 0)),
+                         ((-3, 3), (-3, 3)), a, m), (a, m)
+
+
+def _slp_laws(q: Slope, s: int, a: int = 1, m: int = 1) -> list[tuple[str, bool]]:
+    """(law, holds) for each law a check_slp_witness result s must obey."""
+    N = q.edge_count
+    b1, b2 = q.total_step()
+
+    def works(r: int) -> bool:
+        return 2 * N <= b1 + r and -b2 >= a * r + m * r * (r - 1) // 2
+
+    return [("0 <= s <= N", 0 <= s <= N),
+            ("2N <= |b1| + s", 2 * N <= b1 + s),
+            ("|b2| >= a*s + m*s*(s-1)/2", -b2 >= a * s + m * s * (s - 1) // 2),
+            ("s is minimal", not any(works(r) for r in range(s)))]
+
+
+def _th36_laws(f: Frame, q: Slope, st: tuple[int, int],
+               small_angle: bool) -> list[tuple[str, bool]]:
+    """(law, holds) for each law a check_th36_witness result (s, t) must obey."""
+    uw = _oriented_frame_coords(f, q)
+    (v1, v2), (w1, w2) = uw[0], uw[-1]
+    N = q.edge_count
+    s, t = st
+    cut = (-w2 + 1) // 2 - 1 if small_angle else 0
+    return [("0 <= s <= t <= v2 + w1", 0 <= s <= t <= v2 + w1),
+            ("v2 - s >= 0", v2 - s >= 0),
+            ("-v1 < t*s - (s^2 - s)/2 + (v2 - s)*(t + 1)",
+             -v1 < t * s - (s * s - s) // 2 + (v2 - s) * (t + 1)),
+            ("2N <= v2 + w1 - t + s, minus ceil(-w2/2) - 1 at a small angle",
+             2 * N <= v2 + w1 - t + s - cut)]
 
 
 def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
@@ -480,9 +467,13 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
 
     Uses random.Random(seed) (the stdlib Mersenne Twister) so failures replay
     byte-for-byte across runs.  Returns {"seed", "counts", "failures"}; each
-    failure artifact records the offending instance as plain JSON-ready data.
+    failure artifact records the offending instance as plain JSON-ready data,
+    and its "detail" names the broken laws, or says why no witness was found.
+    The laws are plain tests, so they are checked under python -O too.
     """
     import random
+
+    from .jsonio import encode_frame, encode_slope  # jsonio imports this module
 
     rng = random.Random(seed)
     counts = {"slopes": 0, "witnesses": 0, "shear_witnesses": 0,
@@ -490,72 +481,49 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
               "small_angles": 0}
     failures: list[dict] = []
 
-    def slope_data(q: Slope) -> dict:
-        return {"basis": {"f1": list(q.basis.f1), "f2": list(q.basis.f2)},
-                "vertices": [list(v) for v in q.vertices]}
+    def check(key: str, failure: dict, witness, laws) -> bool:
+        """Count `key` if the witness obeys every law; else record a failure."""
+        try:
+            found = witness()
+        except WitnessNotFound as exc:
+            failures.append({**failure, "detail": str(exc)})
+            return False
+        broken = [law for law, holds in laws(found) if not holds]
+        if broken:
+            failures.append({**failure, "detail":
+                             f"witness {found} breaks: {'; '.join(broken)}"})
+            return False
+        counts[key] += 1
+        return True
 
     for _ in range(slope_count):
         q = random_slope(rng)
         counts["slopes"] += 1
-        N = q.edge_count
-        b1, b2 = q.total_step()
-        try:
-            s = check_slp_witness(q)
-            assert 0 <= s <= N
-            assert 2 * N <= b1 + s
-            assert -b2 >= s * (s + 1) // 2
-            for smaller in range(s):
-                assert not (2 * N <= b1 + smaller
-                            and -b2 >= smaller * (smaller + 1) // 2)
-            counts["witnesses"] += 1
-        except (WitnessNotFound, AssertionError) as exc:
-            failures.append({"kind": "edge-count-witness",
-                             "slope": slope_data(q), "detail": str(exc)})
+        check("witnesses",
+              {"kind": "edge-count-witness", "slope": encode_slope(q)},
+              lambda: check_slp_witness(q), lambda s: _slp_laws(q, s))
         # Doubling all vertices puts them in 2Z^2, whose small step forces s=0.
         doubled = Slope(q.basis, tuple((2 * x, 2 * y) for x, y in q.vertices))
-        try:
-            from .lattice import scaled_lattice
-
-            assert check_slp_witness(doubled,
-                                     vertex_lattice=scaled_lattice(2)) == 0
-            counts["lattice_witnesses"] += 1
-        except (WitnessNotFound, AssertionError) as exc:
-            failures.append({"kind": "coarse-lattice-witness",
-                             "slope": slope_data(doubled), "detail": str(exc)})
+        check("lattice_witnesses",
+              {"kind": "coarse-lattice-witness", "slope": encode_slope(doubled)},
+              lambda: check_slp_witness(doubled, vertex_lattice=scaled_lattice(2)),
+              lambda s: [("a small step above 1 forces s = 0", s == 0)])
         qs, (a, m) = random_shear_slope(rng)
-        try:
-            s = check_slp_witness(qs, shear=(a, m))
-            b1s, b2s = qs.total_step()
-            Ns = qs.edge_count
-            assert 2 * Ns <= b1s + s
-            assert -b2s >= a * s + m * s * (s - 1) // 2
-            counts["shear_witnesses"] += 1
-        except (WitnessNotFound, AssertionError) as exc:
-            failures.append({"kind": "shear-witness", "slope": slope_data(qs),
-                             "shear": [a, m], "detail": str(exc)})
+        check("shear_witnesses",
+              {"kind": "shear-witness", "slope": encode_slope(qs), "shear": [a, m]},
+              lambda: check_slp_witness(qs, shear=(a, m)),
+              lambda s: _slp_laws(qs, s, a, m))
 
     for _ in range(split_count):
         f, q = random_split_config(rng)
         counts["splits"] += 1
-        frame_data = {"origin": list(f.origin),
-                      "basis": {"f1": list(f.basis.f1), "f2": list(f.basis.f2)}}
-        try:
-            uw = _oriented_frame_coords(f, q)
-            v1, v2 = uw[0]
-            w1, w2 = uw[-1]
-            N = q.edge_count
-            s, t = check_th36_witness(f, q)
-            assert 0 <= s <= t <= v2 + w1
-            assert v2 - s >= 0
-            assert -v1 < t * s - (s * s - s) // 2 + (v2 - s) * (t + 1)
-            assert 2 * N <= v2 + w1 - t + s
-            counts["split_witnesses"] += 1
-            if forms_small_angle(f, q):
-                counts["small_angles"] += 1
-                assert 2 * N <= v2 + w1 - t + s - ((-w2 + 1) // 2) + 1
-        except (WitnessNotFound, AssertionError) as exc:
-            failures.append({"kind": "split-witness", "frame": frame_data,
-                             "slope": slope_data(q), "detail": str(exc)})
+        small = forms_small_angle(f, q)
+        if check("split_witnesses",
+                 {"kind": "split-witness", "frame": encode_frame(f),
+                  "slope": encode_slope(q)},
+                 lambda: check_th36_witness(f, q),
+                 lambda st: _th36_laws(f, q, st, small)) and small:
+            counts["small_angles"] += 1
 
     return {"seed": seed, "counts": counts, "failures": failures}
 

@@ -13,7 +13,6 @@ from .polygon import LatticePolygon, Segment, splits_by_segment
 from .typeclass import ReductionTrace
 
 SCALE = 24
-DOT_EVERY = 1  # background integer grid
 
 
 def _type_decorations(tag: str, n: int) -> tuple[list[Segment], list[tuple[str, int]]]:

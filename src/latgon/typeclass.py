@@ -185,7 +185,6 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
         return transform(P, m)
 
     a0 = 0
-    lifted = P
     a = 1
     while splits_by_segment(sheared(a), west_seg):
         a0 = a

@@ -595,7 +595,7 @@ def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
 
 
 def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
-                   n: int, search_bound: int):
+                   n: int):
     """Classify each polygon and run its reduction pipeline.
 
     Returns the tally, the polygons that failed, and the largest size seen.
@@ -609,7 +609,7 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
         tally["total"] += 1
         max_found = max(max_found, len(poly))
         try:
-            m, ptype = classify(poly, n, search_bound=search_bound)
+            m, ptype = classify(poly, n)
             tally[ptype.tag] += 1
             if ptype.tag in pipelines:
                 pipelines[ptype.tag](transform(poly, m), n)
@@ -620,8 +620,7 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
 
 
 def verify_reduction_corpus(n: int, region: SearchRegion,
-                            budget: int | None = None, workers: int = 1,
-                            search_bound: int = 6,
+                            budget: int | None = None, workers: int = 1
                             ) -> tuple[BoundReport, dict[str, int]]:
     """Classify every nZ^2-free polygon of the region and run its reductions.
 
@@ -639,7 +638,7 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     failures: list[LatticePolygon] = []
     max_found, nodes, exhausted = 0, 0, False
     for (part, part_failures, part_max), nodes, _seen, exhausted in _campaign(
-            _corpus_kernel, (n, search_bound), [search], budget, workers):
+            _corpus_kernel, (n,), [search], budget, workers):
         for key, count in part.items():
             tally[key] += count
         failures += part_failures

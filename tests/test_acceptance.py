@@ -121,6 +121,9 @@ def test_criterion_06_slope_fuzz_suite():
         assert suite["counts"]["witnesses"] == 10000
         assert suite["counts"]["splits"] == 10000
         assert suite["counts"]["split_witnesses"] == 10000
+        assert suite["counts"]["small_angles"] == 7666
+        assert suite["counts"]["lattice_witnesses"] == 10000
+        assert suite["counts"]["shear_witnesses"] == 10000
 
 
 def test_criterion_07_boundary_identity_exhaustive(corpus_04):

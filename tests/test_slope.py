@@ -1,9 +1,14 @@
 """Slope validity, maximal slopes, splitting frames, witness inequalities."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import latgon
 from conftest import random_polygon
 from latgon import (
     Frame,
@@ -23,6 +28,7 @@ from latgon import (
     maximal_slopes,
     rectangular_lattice,
     run_fuzz_suite,
+    scaled_lattice,
     step_profile,
     validate_slope,
 )
@@ -203,6 +209,13 @@ def test_small_angle_forty_five_degrees_counts():
     assert forms_small_angle(ORIGIN_FRAME, q)
 
 
+def test_small_angle_on_vertex_counts_the_next_edge():
+    # The chain meets w=0 at the vertex (1, 0): steep before, shallow after.
+    q = validate_slope(E12, [(-1, 3), (1, 0), (4, -1)])
+    assert frame_splits(ORIGIN_FRAME, q)
+    assert forms_small_angle(ORIGIN_FRAME, q)
+
+
 def test_small_angle_steep_crossing_fails():
     q = validate_slope(E12, [(-1, 4), (1, -2)])
     assert frame_splits(ORIGIN_FRAME, q)
@@ -266,6 +279,13 @@ def test_slp_witness_shear():
         check_slp_witness(q, shear=(2, 1))  # needs a <= m
     with pytest.raises(ValueError):
         check_slp_witness(validate_slope(E12, [(0, 1), (1, -1)]), shear=(1, 3))
+
+
+def test_slp_witness_validates_shear_before_small_step():
+    # In 2Z^2 the small f1-step is 2, which alone would give the witness 0.
+    q = validate_slope(E12, [(0, 4), (4, 0)])
+    with pytest.raises(ValueError):
+        check_slp_witness(q, vertex_lattice=scaled_lattice(2), shear=(5, 1))
 
 
 def test_slp_witness_random_slopes(rng):
@@ -364,6 +384,38 @@ def test_fuzz_suite_smoke():
                 "split_witnesses", "small_angles"):
         assert counts[key] >= 0
     assert run_fuzz_suite(7, 200, 200) == out  # deterministic
+
+
+@pytest.mark.parametrize("patch, slopes, splits, law", [
+    ("right = slope.check_slp_witness\n"
+     "slope.check_slp_witness = lambda q, **kw: right(q, **kw) + 1",
+     200, 0, "s is minimal"),
+    ("slope.check_th36_witness = lambda f, q: (0, 0)",
+     0, 500, "-v1 < t*s - (s^2 - s)/2 + (v2 - s)*(t + 1)"),
+    ("def refuted(q, **kw):\n"
+     "    raise slope.WitnessNotFound('refuted')\n"
+     "slope.check_slp_witness = refuted",
+     50, 0, "refuted"),
+], ids=["non-minimal-slp-witness", "wrong-th36-witness", "no-slp-witness"])
+def test_fuzz_suite_laws_fire_under_optimize(patch, slopes, splits, law):
+    """A wrong witness is recorded as a failure naming the law, with asserts off."""
+    code = "\n".join([
+        "import json, sys",
+        "import latgon.slope as slope",
+        patch,
+        f"out = slope.run_fuzz_suite(0, {slopes}, {splits})",
+        "print(json.dumps({'optimize': sys.flags.optimize, **out}))",
+    ])
+    src = os.path.dirname(os.path.dirname(latgon.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert out["failures"]
+    assert any(law in f["detail"] for f in out["failures"])
 
 
 def test_random_generators_produce_valid_instances(rng):
