@@ -36,12 +36,11 @@ from .slope import (
 )
 from .svg import render_polygon_svg, render_trace_svg
 from .typeclass import (
+    PIPELINES,
     TAG_ORDER,
+    InvariantViolation,
     classify,
     lift,
-    reduce_type_iv,
-    reduce_type_v,
-    reduce_type_vi,
     type_predicate,
 )
 from .verify import (
@@ -130,8 +129,7 @@ def _add_region_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_flags(p: argparse.ArgumentParser, workers: bool = True) -> None:
     p.add_argument("--budget", type=int, default=None,
-                   help="chain-prefix node budget (default: LATGON_BUDGET "
-                        "env var, else 10^8)")
+                   help="chain-prefix node budget (default 10^8)")
     if workers:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (output is identical for any "
@@ -170,20 +168,12 @@ def _cmd_lift(ns) -> int:
 
 def _cmd_reduce(ns) -> int:
     P = _parse_polygon(ns.polygon)
-    pipelines = {"V": reduce_type_v, "VI": reduce_type_vi,
-                 "IV": reduce_type_iv}
-    kind = ns.kind
-    if kind == "auto":
-        for candidate in ("V", "VI", "IV"):
-            if type_predicate(P, ns.n, candidate):
-                kind = candidate
-                break
-        else:
-            raise _InputError(f"polygon is not of type V, VI, or IV at "
-                              f"scale {ns.n}")
-    elif not type_predicate(P, ns.n, kind):
-        raise _InputError(f"polygon is not of type {kind} at scale {ns.n}")
-    trace = pipelines[kind](P, ns.n)
+    kinds = tuple(PIPELINES) if ns.kind == "auto" else (ns.kind,)
+    kind = next((k for k in kinds if type_predicate(P, ns.n, k)), None)
+    if kind is None:
+        raise _InputError(f"polygon is not of type {' or '.join(kinds)} "
+                          f"at scale {ns.n}")
+    trace = PIPELINES[kind](P, ns.n)
     _emit(encode_trace(trace))
     _note(f"{kind} -> {trace.result_type.tag} in {len(trace.steps)} steps")
     return 0
@@ -331,7 +321,7 @@ def _build_parser() -> _Parser:
                                       "simpler type")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--polygon", required=True)
-    p.add_argument("--kind", choices=("auto", "V", "VI", "IV"),
+    p.add_argument("--kind", choices=("auto",) + tuple(PIPELINES),
                    default="auto", help="which pipeline to run")
     p.set_defaults(func=_cmd_reduce)
 
@@ -431,7 +421,7 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _note(f"error: node budget exceeded after {exc.nodes} nodes")
         return 3
-    except WitnessNotFound as exc:
+    except (WitnessNotFound, InvariantViolation) as exc:
         _note(f"counterexample: {exc}")
         return 2
     except (ValueError, KeyError, TypeError) as exc:

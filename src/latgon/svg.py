@@ -9,51 +9,21 @@ defining segments thin, and forbidden lines dotted.
 from __future__ import annotations
 
 from .lattice import Lattice2, contains, scaled_lattice
-from .polygon import LatticePolygon, Segment, splits_by_segment
-from .typeclass import ReductionTrace
+from .polygon import LatticePolygon, splits_by_segment
+from .typeclass import ReductionTrace, defining_geometry
 
 SCALE = 24
-
-
-def _type_decorations(tag: str, n: int) -> tuple[list[Segment], list[tuple[str, int]]]:
-    """Defining segments and forbidden axis-parallel lines for a type tag."""
-    segs: list[Segment] = []
-    lines: list[tuple[str, int]] = []
-    if tag == "II":
-        segs = [Segment((0, 0), (n, 0)), Segment((n, 0), (n, n)),
-                Segment((0, n), (n, n)), Segment((0, 0), (0, n))]
-    elif tag == "III":
-        segs = [Segment((0, 0), (n, 0)), Segment((n, 0), (n, n)),
-                Segment((n, n), (0, n))]
-        lines = [("v", 0)]
-    elif tag == "IV":
-        segs = [Segment((0, 0), (0, n)), Segment((0, 0), (n, 0)),
-                Segment((n, 0), (n, n)), Segment((n, n), (2 * n, n))]
-        lines = [("v", -n), ("v", 2 * n)]
-    elif tag == "V":
-        segs = [Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n))]
-        lines = [("v", -n), ("h", n)]
-    elif tag == "VI":
-        segs = [Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n)),
-                Segment((0, n), (n, n))]
-        lines = [("v", -n), ("v", n)]
-    elif tag == "Va":
-        segs = [Segment((0, 0), (2 * n, 0)), Segment((2 * n, 0), (0, 2 * n)),
-                Segment((0, 2 * n), (0, 0))]
-    return segs, lines
 
 
 def _panel(P: LatticePolygon, lattice: Lattice2 | None, tag: str | None,
            n: int | None, caption: str) -> tuple[list[str], int, int]:
     """Render one panel; returns (svg fragments, width, height) in pixels."""
-    segs: list[Segment] = []
-    lines: list[tuple[str, int]] = []
-    if tag and n:
-        segs, lines = _type_decorations(tag, n)
+    segs, lines = defining_geometry(tag, n) if tag and n else ((), ())
     xs = [v[0] for v in P.vertices] + [s.a[0] for s in segs] + [s.b[0] for s in segs]
     ys = [v[1] for v in P.vertices] + [s.a[1] for s in segs] + [s.b[1] for s in segs]
-    for kind, c in lines:
-        (xs if kind == "v" else ys).append(c)
+    # Every defining line is (1, 0, c), vertical at x = c, or (0, 1, c).
+    for a, _b, c in lines:
+        (xs if a else ys).append(c)
     if n:
         xs.append(0)
         ys.append(0)
@@ -76,8 +46,8 @@ def _panel(P: LatticePolygon, lattice: Lattice2 | None, tag: str | None,
                 f'<circle cx="{sx(x)}" cy="{sy(y)}" r="1" fill="#c8c8c8"/>'
             )
     # Forbidden lines, dotted.
-    for kind, c in lines:
-        if kind == "v":
+    for a, _b, c in lines:
+        if a:
             out.append(
                 f'<line x1="{sx(c)}" y1="{sy(wy0)}" x2="{sx(c)}" y2="{sy(wy1)}" '
                 f'stroke="#888888" stroke-width="2" stroke-dasharray="3,5"/>'

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattice import AffineMap, UnimodularMap, scaled_lattice
 from .polygon import (
+    Line,
     LatticePolygon,
     Segment,
     cardinal_profile,
@@ -28,6 +29,11 @@ from .polygon import (
 )
 
 TAG_ORDER = ("I", "II", "III", "IV", "V", "VI", "Va")
+
+
+class InvariantViolation(AssertionError):
+    """A law that a reduction or a search must keep failed: a bug or a
+    counterexample.  Raised explicitly, so the check also runs under -O."""
 
 
 @dataclass(frozen=True)
@@ -78,61 +84,75 @@ def _pred_i(P: LatticePolygon, n: int) -> bool:
             or _no_multiple_strictly_between(prof.south, prof.north, n))
 
 
-def _pred_ii(P: LatticePolygon, n: int) -> bool:
-    return all(splits_by_segment(P, s) for s in (
-        Segment((0, 0), (n, 0)),
-        Segment((n, 0), (n, n)),
-        Segment((0, n), (n, n)),
-        Segment((0, 0), (0, n)),
-    ))
+@dataclass(frozen=True)
+class TypeShape:
+    """The lattice geometry that defines one position type at one scale.
+
+    A free polygon has the type when every segment splits it, no line of
+    `unsplit` splits it and no line of `unmet` meets it.  A line (a, b, c)
+    is {a*x + b*y = c}.
+    """
+
+    segments: tuple[Segment, ...]
+    unsplit: tuple[Line, ...] = ()
+    unmet: tuple[Line, ...] = ()
 
 
-def _pred_iii(P: LatticePolygon, n: int) -> bool:
-    return (all(splits_by_segment(P, s) for s in (
-        Segment((0, 0), (n, 0)),
-        Segment((n, 0), (n, n)),
-        Segment((n, n), (0, n)),
-    )) and not splits_by_line(P, (1, 0, 0)))
+@lru_cache(maxsize=64)
+def type_shape(tag: str, n: int) -> TypeShape | None:
+    """The defining segments and lines of type `tag` (II to VI) at scale n."""
+    return {
+        "II": TypeShape((Segment((0, 0), (n, 0)), Segment((n, 0), (n, n)),
+                         Segment((0, n), (n, n)), Segment((0, 0), (0, n)))),
+        "III": TypeShape((Segment((0, 0), (n, 0)), Segment((n, 0), (n, n)),
+                          Segment((n, n), (0, n))),
+                         unsplit=((1, 0, 0),)),
+        "IV": TypeShape((Segment((0, 0), (0, n)), Segment((0, 0), (n, 0)),
+                         Segment((n, 0), (n, n)), Segment((n, n), (2 * n, n))),
+                        unmet=((1, 0, -n), (1, 0, 2 * n))),
+        "V": TypeShape((Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n))),
+                       unsplit=((1, 0, -n), (0, 1, n))),
+        "VI": TypeShape((Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n)),
+                         Segment((0, n), (n, n))),
+                        unsplit=((1, 0, -n), (1, 0, n))),
+    }.get(tag)
 
 
-def _pred_iv(P: LatticePolygon, n: int) -> bool:
-    return (all(splits_by_segment(P, s) for s in (
-        Segment((0, 0), (0, n)),
-        Segment((0, 0), (n, 0)),
-        Segment((n, 0), (n, n)),
-        Segment((n, n), (2 * n, n)),
-    )) and not meets_line(P, (1, 0, -n))
-        and not meets_line(P, (1, 0, 2 * n)))
-
-
-def _pred_v(P: LatticePolygon, n: int) -> bool:
-    return (splits_by_segment(P, Segment((0, 0), (-n, 0)))
-            and splits_by_segment(P, Segment((0, 0), (0, n)))
-            and not splits_by_line(P, (1, 0, -n))
-            and not splits_by_line(P, (0, 1, n)))
-
-
-def _pred_vi(P: LatticePolygon, n: int) -> bool:
-    return (splits_by_segment(P, Segment((0, 0), (-n, 0)))
-            and splits_by_segment(P, Segment((0, 0), (0, n)))
-            and splits_by_segment(P, Segment((0, n), (n, n)))
-            and not splits_by_line(P, (1, 0, -n))
-            and not splits_by_line(P, (1, 0, n)))
+def _pred_shape(P: LatticePolygon, n: int, tag: str) -> bool:
+    shape = type_shape(tag, n)
+    return (all(splits_by_segment(P, s) for s in shape.segments)
+            and not any(splits_by_line(P, line) for line in shape.unsplit)
+            and not any(meets_line(P, line) for line in shape.unmet))
 
 
 def _pred_va(P: LatticePolygon, n: int) -> bool:
+    """Inside the triangle whose corners `defining_geometry` draws."""
     return all(x >= 0 and y >= 0 and x + y <= 2 * n for x, y in P.vertices)
 
 
 _PREDICATES = {
     "I": _pred_i,
-    "II": _pred_ii,
-    "III": _pred_iii,
-    "IV": _pred_iv,
-    "V": _pred_v,
-    "VI": _pred_vi,
+    "II": partial(_pred_shape, tag="II"),
+    "III": partial(_pred_shape, tag="III"),
+    "IV": partial(_pred_shape, tag="IV"),
+    "V": partial(_pred_shape, tag="V"),
+    "VI": partial(_pred_shape, tag="VI"),
     "Va": _pred_va,
 }
+
+
+def defining_geometry(tag: str, n: int
+                      ) -> tuple[tuple[Segment, ...], tuple[Line, ...]]:
+    """The segments and lines that define a type, for drawing.
+
+    Types II to VI give their `type_shape` segments and lines, Va the edges
+    of its triangle, and I nothing.
+    """
+    if tag == "Va":
+        a, b, c = (0, 0), (2 * n, 0), (0, 2 * n)
+        return (Segment(a, b), Segment(b, c), Segment(c, a)), ()
+    shape = type_shape(tag, n) or TypeShape(())
+    return shape.segments, shape.unsplit + shape.unmet
 
 
 def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
@@ -170,8 +190,7 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
         raise ValueError(f"lift needs scale n >= 3, got {n}")
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
-    west_seg = Segment((0, 0), (-n, 0))
-    north_seg = Segment((0, 0), (0, n))
+    west_seg, north_seg = type_shape("V", n).segments
     if not splits_by_segment(P, west_seg):
         raise ValueError("west segment does not split the polygon")
     if not splits_by_segment(P, north_seg):
@@ -193,24 +212,23 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
     # The split set must be the initial segment {0, ..., a0}: probe beyond the
     # first failure far enough that a revival would be caught.
     for extra in range(a + 1, a + n + (prof.north - prof.south) + 4):
-        assert not splits_by_segment(sheared(extra), west_seg), (
-            f"west split revives at shear {extra}: bug or counterexample"
-        )
+        if splits_by_segment(sheared(extra), west_seg):
+            raise InvariantViolation(
+                f"west split revives at shear {extra}: bug or counterexample")
     applied = AffineMap(UnimodularMap(((1, 0), (-a0, 1))))
 
-    assert splits_by_segment(lifted, north_seg), "lift lost the north split"
-    assert not splits_by_segment(lifted, Segment((0, 0), (-n, -n))), (
-        "lift is split by the descending diagonal segment"
-    )
-    if not upper_split_before:
-        assert not splits_by_segment(lifted, upper_seg), (
-            "lift created an upper-segment split that was absent before"
-        )
-    new_south = cardinal_profile(lifted).south
-    if a0 == 0:
-        assert lifted == P
-    else:
-        assert new_south > prof.south, "lift did not raise the south extreme"
+    if not splits_by_segment(lifted, north_seg):
+        raise InvariantViolation("lift lost the north split")
+    if splits_by_segment(lifted, Segment((0, 0), (-n, -n))):
+        raise InvariantViolation(
+            "lift is split by the descending diagonal segment")
+    if not upper_split_before and splits_by_segment(lifted, upper_seg):
+        raise InvariantViolation(
+            "lift created an upper-segment split that was absent before")
+    if a0 == 0 and lifted != P:
+        raise InvariantViolation("the identity shear moved the polygon")
+    if a0 > 0 and cardinal_profile(lifted).south <= prof.south:
+        raise InvariantViolation("lift did not raise the south extreme")
     return a0, lifted, applied
 
 
@@ -220,19 +238,24 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
 def _check_trace(trace: ReductionTrace) -> None:
     lat = scaled_lattice(trace.n)
     cur = trace.source
-    assert is_free_of(cur, lat)
+    if not is_free_of(cur, lat):
+        raise InvariantViolation("trace source is not free of the lattice")
     for step in trace.steps:
-        assert step.map.is_automorphism_of(lat), (
-            f"step {step.label} is not an automorphism of {lat}"
-        )
+        if not step.map.is_automorphism_of(lat):
+            raise InvariantViolation(
+                f"step {step.label} is not an automorphism of {lat}")
         cur = transform(cur, step.map)
-        assert is_free_of(cur, lat), f"freeness lost after step {step.label}"
-        assert len(cur) == len(trace.source), "vertex count changed"
-    assert cur == trace.result, "trace does not replay to its result"
-    assert transform(trace.source, trace.composed_map()) == trace.result
-    assert type_predicate(trace.result, trace.n, trace.result_type.tag), (
-        f"result fails the {trace.result_type.tag} predicate"
-    )
+        if not is_free_of(cur, lat):
+            raise InvariantViolation(f"freeness lost after step {step.label}")
+        if len(cur) != len(trace.source):
+            raise InvariantViolation("vertex count changed")
+    if cur != trace.result:
+        raise InvariantViolation("trace does not replay to its result")
+    if transform(trace.source, trace.composed_map()) != trace.result:
+        raise InvariantViolation("composed map misses the result")
+    if not type_predicate(trace.result, trace.n, trace.result_type.tag):
+        raise InvariantViolation(
+            f"result fails the {trace.result_type.tag} predicate")
 
 
 _REFLECT_ANTIDIAGONAL = AffineMap(UnimodularMap(((0, -1), (-1, 0))))
@@ -279,7 +302,8 @@ def reduce_type_v(P: LatticePolygon, n: int) -> ReductionTrace:
         steps.append(ReductionStep("reflect", _REFLECT_ANTIDIAGONAL))
         cur = transform(cur, _REFLECT_ANTIDIAGONAL)
     if result_tag is None:
-        raise AssertionError("type V reduction exceeded its termination guard")
+        raise InvariantViolation(
+            "type V reduction exceeded its termination guard")
     trace = ReductionTrace(P, n, tuple(steps), cur, PolygonType(result_tag, n))
     _check_trace(trace)
     return trace
@@ -369,14 +393,18 @@ def reduce_type_iv(P: LatticePolygon, n: int) -> ReductionTrace:
     elif type_predicate(cur, n, "III"):
         tag = "III"
     else:
-        raise AssertionError(
-            "type IV image is neither II nor III: bug or counterexample"
-        )
+        raise InvariantViolation(
+            "type IV image is neither II nor III: bug or counterexample")
     trace = ReductionTrace(
         P, n, (ReductionStep("skew-reflect", skew),), cur, PolygonType(tag, n)
     )
     _check_trace(trace)
     return trace
+
+
+#: The reduction pipeline of each type that has one, in the order a caller
+#: picks among them.
+PIPELINES = {"V": reduce_type_v, "VI": reduce_type_vi, "IV": reduce_type_iv}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ so no report depends on the worker count.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -36,27 +35,15 @@ from .lattice import (
 )
 from .polygon import LatticePolygon, is_free_of, lattice_points_in, transform
 from .typeclass import (
+    PIPELINES,
+    InvariantViolation,
     PolygonType,
-    polygon_types,
     classify,
-    reduce_type_iv,
-    reduce_type_v,
-    reduce_type_vi,
+    polygon_types,
 )
 
 #: Default chain-prefix node budget for a single campaign.
 DEFAULT_NODE_BUDGET = 10 ** 8
-
-
-def node_budget() -> int:
-    """The configured node budget (LATGON_BUDGET overrides the default)."""
-    raw = os.environ.get("LATGON_BUDGET")
-    if raw is None or raw == "":
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LATGON_BUDGET must be an integer, got {raw!r}") from None
 
 
 class BudgetExceededError(RuntimeError):
@@ -71,8 +58,9 @@ class BudgetExceededError(RuntimeError):
         self.polygons_seen = polygons_seen
 
     def __reduce__(self):
-        # Pool workers pickle the error back to the parent; the default
-        # reduction passes only the message to __init__.
+        # The default reduction passes only the message to __init__.  Pool
+        # workers never send this error (_run_task catches it), but it stays
+        # picklable like any exception.
         return (type(self), (self.nodes, self.polygons_seen))
 
 
@@ -191,39 +179,16 @@ def _lattice_step(L: Lattice2, d: Vec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Forbidden-point tests (closed triangles and segments)
-
-def _segment_has_point(L: Lattice2, a: Vec, b: Vec) -> bool:
-    """Does the closed segment [a, b] contain a point of L?"""
-    x_min, x_max = min(a[0], b[0]), max(a[0], b[0])
-    y_min, y_max = min(a[1], b[1]), max(a[1], b[1])
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    p, q, r = L.p, L.q, L.r
-    i = -(-x_min // p)
-    while i * p <= x_max:
-        x = i * p
-        y0 = i * q
-        y = y0 + -((y0 - y_min) // r) * r
-        while y <= y_max:
-            if dx * (y - a[1]) == dy * (x - a[0]):
-                return True
-            y += r
-        i += 1
-    return False
-
+# Forbidden-point test (closed triangles)
 
 def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
     """Does the closed triangle (a, b, c) contain a point of L?
 
-    Degenerate (collinear) triangles reduce to their covering segment.
+    A collinear triangle needs no branch of its own: its three edge functions
+    sum to zero, so they are all >= 0 only on its line, and the bounding box
+    clips that line to the covering segment.
     """
     orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if orient == 0:
-        lo = min(a, b, c)
-        hi = max(a, b, c)
-        if lo == hi:
-            return contains(L, lo)
-        return _segment_has_point(L, lo, hi)
     if orient < 0:
         b, c = c, b
     x_min = min(a[0], b[0], c[0])
@@ -263,7 +228,8 @@ def _canonical_corner(bbox: tuple[int, int, int, int], L: Lattice2,
         if ny0 + h <= region.y_max:
             return (bx0 + i * p, ny0)
         i += 1
-    raise AssertionError("no feasible translate, yet the polygon itself fits")
+    raise InvariantViolation(
+        "no feasible translate, yet the polygon itself fits")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +280,9 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                         if avoid is None or not dedup or (
                                 _canonical_corner(poly.bounding_box(), avoid,
                                                   region) == (bx0, by0)):
-                            if avoid is not None:
-                                assert is_free_of(poly, avoid)
+                            if avoid is not None and not is_free_of(poly, avoid):
+                                raise InvariantViolation(
+                                    f"{poly.vertices} meets {avoid}")
                             yield poly
                     break
                 if halves[j] and nx < ax:
@@ -375,7 +342,7 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
     the chain-prefix node budget runs out.
     """
     if budget is None:
-        budget = node_budget()
+        budget = DEFAULT_NODE_BUDGET
     search = _Search(region, min_vertices, avoid, True, None)
     counter = [0, 0]
     for anchor in _anchors(search):
@@ -417,7 +384,7 @@ def _campaign(kernel, args: tuple, searches: list[_Search],
     yields what workers=1 yields.
     """
     if budget is None:
-        budget = node_budget()
+        budget = DEFAULT_NODE_BUDGET
     tasks = [(kernel, args, search, anchor)
              for search in searches for anchor in _anchors(search)]
     nodes = seen = 0
@@ -565,7 +532,9 @@ def _first_kernel(polygons: Iterator[LatticePolygon], search: _Search,
     """The first polygon with exactly `size` vertices, if any."""
     for poly in polygons:
         if len(poly) == size:
-            assert is_free_of(poly, search.avoid)
+            if not is_free_of(poly, search.avoid):
+                raise InvariantViolation(
+                    f"witness {poly.vertices} meets {search.avoid}")
             return poly
     return None
 
@@ -600,8 +569,6 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
 
     Returns the tally, the polygons that failed, and the largest size seen.
     """
-    pipelines = {"V": reduce_type_v, "VI": reduce_type_vi,
-                 "IV": reduce_type_iv}
     tally: Counter[str] = Counter()
     failures: list[LatticePolygon] = []
     max_found = 0
@@ -611,10 +578,10 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
         try:
             m, ptype = classify(poly, n)
             tally[ptype.tag] += 1
-            if ptype.tag in pipelines:
-                pipelines[ptype.tag](transform(poly, m), n)
+            if ptype.tag in PIPELINES:
+                PIPELINES[ptype.tag](transform(poly, m), n)
                 tally["reduced_" + ptype.tag.lower()] += 1
-        except (RuntimeError, AssertionError):
+        except (RuntimeError, InvariantViolation):
             failures.append(poly)
     return tally, failures, max_found
 
@@ -627,8 +594,9 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     Every enumerated polygon must classify within the default search bound;
     whenever the classification lands on type V or VI (or the terminal IV),
     the classified image is pushed through its reduction pipeline, whose own
-    assertions re-verify each result.  Returns the report plus a tally of
-    classified tags and pipeline runs.
+    checks re-verify each result (also under -O).  A polygon whose
+    classification or pipeline fails is a counterexample.  Returns the report
+    plus a tally of classified tags and pipeline runs.
     """
     if n not in (3, 4):
         raise ValueError(f"the reduction corpus runs at desk scale (3 or 4), got {n}")

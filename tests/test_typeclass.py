@@ -5,6 +5,7 @@ to the vertex lists step by step, before being frozen into assertions.
 """
 
 import random
+import re
 
 import pytest
 
@@ -31,6 +32,8 @@ from latgon import (
     type_predicate,
 )
 from latgon.polygon import Segment
+from latgon.svg import SCALE, render_polygon_svg
+from latgon.typeclass import type_shape
 
 SQUARE = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
 TRIANGLE = from_points([(-2, -1), (-1, 2), (1, 1)])
@@ -132,6 +135,67 @@ def test_polygon_types_agrees_with_predicate(rng, pool3):
         assert polygon_types(P, 3) == tuple(
             t for t in TAG_ORDER if type_predicate(P, 3, t)
         )
+
+
+# ---------------------------------------------------------------------------
+# drawing the defining geometry
+
+_SEGMENT_LINE = re.compile(
+    r'<line x1="(-?\d+)" y1="(-?\d+)" x2="(-?\d+)" y2="(-?\d+)" '
+    r'stroke="#111111" stroke-width="(\d+)"')
+_DASHED_LINE = re.compile(
+    r'<line x1="(-?\d+)" y1="(-?\d+)" x2="(-?\d+)" y2="(-?\d+)" '
+    r'stroke="#888888" stroke-width="2" stroke-dasharray="3,5"/>')
+
+
+def _expected_geometry(tag, n):
+    if tag == "I":
+        return (), ()
+    if tag == "Va":
+        a, b, c = (0, 0), (2 * n, 0), (0, 2 * n)
+        return (Segment(a, b), Segment(b, c), Segment(c, a)), ()
+    shape = type_shape(tag, n)
+    return shape.segments, shape.unsplit + shape.unmet
+
+
+@pytest.fixture(scope="module")
+def pool3_by_tag(pool3):
+    by_tag = {tag: [] for tag in TAG_ORDER}
+    for P in pool3:
+        for tag in polygon_types(P, 3):
+            by_tag[tag].append(P)
+    return by_tag
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER)
+def test_svg_draws_each_defining_segment_and_line(tag, rng, pool3,
+                                                  pool3_by_tag):
+    """One black line per defining segment, thick exactly when the segment
+    splits the polygon, and one dashed line per defining line."""
+    segs, lines = _expected_geometry(tag, 3)
+    typed = pool3_by_tag[tag]
+    examples = [SQUARE, TRIANGLE, DIAMOND_II, EIGHT_GON,
+                from_points([(-1, 1), (3, -2), (6, 5)])]
+    for P in (examples + rng.sample(typed, min(len(typed), 25))
+              + rng.sample(pool3, 25)):
+        svg = render_polygon_svg(P, n=3, tag=tag)
+        drawn = _SEGMENT_LINE.findall(svg)
+        assert len(drawn) == len(segs)
+        for seg, (x1, y1, x2, y2, width) in zip(segs, drawn):
+            # Pixels grow with x and shrink with y, SCALE per lattice unit.
+            assert int(x2) - int(x1) == SCALE * (seg.b[0] - seg.a[0])
+            assert int(y1) - int(y2) == SCALE * (seg.b[1] - seg.a[1])
+            assert (width == "5") is splits_by_segment(P, seg)
+        dashed = _DASHED_LINE.findall(svg)
+        assert len(dashed) == len(lines)
+        for (a, b, c), (x1, y1, x2, y2) in zip(lines, dashed):
+            x0, y0 = int(drawn[0][0]), int(drawn[0][1])  # pixel of segs[0].a
+            if a:  # x = c, vertical
+                assert (a, b) == (1, 0) and x1 == x2
+                assert int(x1) - x0 == SCALE * (c - segs[0].a[0])
+            else:  # y = c, horizontal
+                assert (a, b) == (0, 1) and y1 == y2
+                assert y0 - int(y1) == SCALE * (c - segs[0].a[1])
 
 
 # ---------------------------------------------------------------------------

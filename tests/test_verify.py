@@ -5,7 +5,11 @@ conftest (powerset filter and convex-position DFS), which share no code with
 it.  Campaign results on small regions are frozen after hand inspection.
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -15,21 +19,23 @@ from latgon import (
     BoundReport,
     BudgetExceededError,
     InvariantFactors,
+    Lattice2,
     SearchRegion,
     capture_threshold,
     check_main_theorem,
     check_vertex_bound,
+    contains,
     empty_residue_classes,
     enumerate_convex_polygons,
     find_sharpness_witness,
     from_points,
     is_free_of,
     lattice_points_in,
-    node_budget,
     scaled_lattice,
     type_predicate,
     verify_reduction_corpus,
 )
+from latgon.verify import _triangle_has_point
 
 
 def region_points(region):
@@ -156,14 +162,50 @@ def test_budget_error_pickles():
     assert str(back) == str(err)
 
 
-def test_node_budget_env(monkeypatch):
-    monkeypatch.delenv("LATGON_BUDGET", raising=False)
-    assert node_budget() == 100_000_000
-    monkeypatch.setenv("LATGON_BUDGET", "5000")
-    assert node_budget() == 5000
-    monkeypatch.setenv("LATGON_BUDGET", "lots")
-    with pytest.raises(ValueError, match="LATGON_BUDGET"):
-        node_budget()
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_closed_triangle(p, a, b, c):
+    if _cross(a, b, c) != 0:
+        sides = (_cross(a, b, p), _cross(b, c, p), _cross(c, a, p))
+        return min(sides) >= 0 or max(sides) <= 0
+    # Collinear: along a line, lexicographic order is the order on the line.
+    lo, hi = min(a, b, c), max(a, b, c)
+    return _cross(lo, hi, p) == 0 and lo <= p <= hi
+
+
+def test_triangle_has_point_matches_box_scan(rng):
+    """The fan-triangle test against a scan of every point in the box, on
+    proper, collinear and single-point triangles."""
+    lattices = [scaled_lattice(3), Lattice2(1, 0, 1)]
+    lattices += [Lattice2(rng.randint(1, 4), 0, rng.randint(1, 4))
+                 for _ in range(4)]
+    lattices += [Lattice2(rng.randint(1, 3), q, 5) for q in range(1, 5)]
+    shapes = {"proper": 0, "collinear": 0, "point": 0}
+    for _ in range(6000):
+        L = rng.choice(lattices)
+        a = (rng.randint(-6, 6), rng.randint(-6, 6))
+        kind = rng.randrange(3)
+        if kind == 0:
+            b = (rng.randint(-6, 6), rng.randint(-6, 6))
+            c = (rng.randint(-6, 6), rng.randint(-6, 6))
+        elif kind == 1:
+            d = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)])
+            j, k = rng.randint(-3, 3), rng.randint(-3, 3)
+            b = (a[0] + j * d[0], a[1] + j * d[1])
+            c = (a[0] + k * d[0], a[1] + k * d[1])
+        else:
+            b = c = a
+        shapes["point" if a == b == c else
+               "collinear" if _cross(a, b, c) == 0 else "proper"] += 1
+        xs, ys = (a[0], b[0], c[0]), (a[1], b[1], c[1])
+        expected = any(
+            contains(L, (x, y)) and _in_closed_triangle((x, y), a, b, c)
+            for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1))
+        assert _triangle_has_point(L, a, b, c) is expected, (L, a, b, c)
+    assert min(shapes.values()) > 1500, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +374,33 @@ def test_verify_reduction_corpus_small():
     assert tally["reduced_v"] == tally["V"]  # every V classification ran the pipeline
     assert tally["reduced_vi"] == tally["reduced_iv"] == 0
     assert sum(tally[t] for t in ("I", "II", "III", "IV", "V", "VI", "Va")) == tally["total"]
+
+
+def test_corpus_counts_broken_pipelines_under_optimize():
+    """With asserts off, a lift that never lifts makes the V and VI
+    pipelines fail their trace checks, and the corpus reports them."""
+    code = "\n".join([
+        "import json, sys",
+        "import latgon.typeclass as typeclass",
+        "from latgon import AffineMap, SearchRegion, verify_reduction_corpus",
+        "typeclass.lift = lambda P, n: (0, P, AffineMap.identity())",
+        "report, tally = verify_reduction_corpus(3, SearchRegion(-2, 4, -1, 1))",
+        "print(json.dumps({'optimize': sys.flags.optimize, 'tally': tally,",
+        "                  'failed': len(report.counterexamples)}))",
+    ])
+    src = os.path.dirname(os.path.dirname(sys.modules["latgon"].__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    tally = out["tally"]
+    assert out["optimize"] == 1
+    assert tally["VI"] > 0
+    assert out["failed"] > 0
+    assert out["failed"] == (tally["V"] + tally["VI"]
+                             - tally["reduced_v"] - tally["reduced_vi"])
 
 
 def test_verify_reduction_corpus_validation():
