@@ -23,10 +23,6 @@ def decode_polygon(obj: dict) -> LatticePolygon:
     return LatticePolygon(tuple((int(x), int(y)) for x, y in verts))
 
 
-def encode_lattice(L: Lattice2) -> dict:
-    return {"basis": [list(row) for row in L.basis]}
-
-
 def decode_lattice(obj: dict) -> Lattice2:
     return hnf_canonicalize(obj["basis"])
 

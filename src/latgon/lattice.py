@@ -16,6 +16,12 @@ from math import gcd
 
 Vec = tuple[int, int]
 
+
+class InvariantViolation(AssertionError):
+    """A law that a computation must keep failed: a bug or a counterexample.
+    Raised explicitly, so the check also runs under -O."""
+
+
 #: The four signed coordinate axes, in a fixed order.
 SIGNED_AXES: tuple[Vec, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -122,8 +128,7 @@ def hnf_canonicalize(basis) -> Lattice2:
     c1 = (x * a11 + y * a12, x * a21 + y * a22)
     c2 = (-v * a11 + u * a12, -v * a21 + u * a22)
     p, q = c1
-    z, r = c2
-    assert z == 0 and p == g > 0
+    _, r = c2  # the top entry of col2 is -v*a11 + u*a12 = 0
     if r < 0:
         r = -r
     q %= r
@@ -177,14 +182,16 @@ def snf_transform(L: Lattice2) -> tuple["UnimodularMap", InvariantFactors]:
             continue
         break
     else:  # pragma: no cover - reduction of a 2x2 matrix terminates quickly
-        raise AssertionError("Smith reduction did not terminate")
+        raise InvariantViolation("Smith reduction did not terminate")
     if m00 < 0:
         m00, u00, u01 = -m00, -u00, -u01
     if m11 < 0:
         m11, u10, u11 = -m11, -u10, -u11
     U = UnimodularMap(((u00, u01), (u10, u11)))
     factors = InvariantFactors(m00, m11)
-    assert factors == invariant_factors(L), "SNF routes disagree"
+    expected = invariant_factors(L)
+    if factors != expected:
+        raise InvariantViolation(f"SNF routes disagree: {factors} != {expected}")
     return U, factors
 
 

@@ -74,11 +74,21 @@ class LatticePolygon:
 
     def translate(self, shift: Vec) -> "LatticePolygon":
         dx, dy = shift
-        vs = tuple((x + dx, y + dy) for x, y in self.vertices)
-        return LatticePolygon(vs)
+        return _trusted(tuple((x + dx, y + dy) for x, y in self.vertices))
 
     def __str__(self) -> str:
         return "Polygon[" + ", ".join(map(str, self.vertices)) + "]"
+
+
+def _trusted(vertices: tuple[Vec, ...]) -> LatticePolygon:
+    """A polygon from vertices already in canonical order, left unchecked.
+
+    Only for images of a polygon under a unimodular affine map, which are
+    strictly convex again; the caller puts the vertices in canonical order.
+    """
+    P = object.__new__(LatticePolygon)
+    object.__setattr__(P, "vertices", vertices)
+    return P
 
 
 def from_points(points) -> LatticePolygon:
@@ -290,7 +300,6 @@ def area2_and_pick(P: LatticePolygon) -> tuple[int, int, int]:
         x1, y1 = vs[(i + 1) % n]
         area2 += x0 * y1 - x1 * y0
         boundary += gcd(abs(x1 - x0), abs(y1 - y0))
-    assert area2 > 0, "canonical polygons are counterclockwise"
     x_min, x_max, y_min, y_max = P.bounding_box()
     interior = 0
     for x in range(x_min + 1, x_max):
@@ -312,7 +321,9 @@ def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
     """Image polygon under an affine unimodular map, re-canonicalized.
 
     A unimodular map keeps the polygon strictly convex; it reverses the
-    orientation exactly when its determinant is -1.
+    orientation exactly when its determinant is -1.  So reversing the image
+    in that case and rotating it to its least vertex gives the canonical
+    form, and the convexity check is skipped.
     """
     (a, b), (c, d) = m.linear.rows
     sx, sy = m.shift
@@ -320,7 +331,7 @@ def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
     if a * d - b * c < 0:
         vs.reverse()
     k = vs.index(min(vs))
-    return LatticePolygon(tuple(vs[k:] + vs[:k]))
+    return _trusted(tuple(vs[k:] + vs[:k]))
 
 
 def lattice_points_in(P: LatticePolygon, L: Lattice2) -> list[Vec]:

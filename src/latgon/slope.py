@@ -16,8 +16,8 @@ from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
 
-from .lattice import (SIGNED_AXES, Lattice2, Vec, contains, scaled_lattice,
-                      span_of_points, step_profile)
+from .lattice import (SIGNED_AXES, InvariantViolation, Lattice2, Vec,
+                      contains, scaled_lattice, span_of_points, step_profile)
 from .polygon import LatticePolygon, cardinal_profile, contains_point, splits_by_ray
 
 #: All eight signed bases (ordered pairs of perpendicular signed axes).
@@ -177,7 +177,7 @@ def maximal_slopes(P: LatticePolygon) -> MaximalSlopes:
     """Decompose the boundary into four maximal slopes and four marker flags.
 
     The total edge count of the polygon equals the sum of the four slopes'
-    edge counts plus the four duplication flags (asserted here).
+    edge counts plus the four duplication flags (checked here).
     """
     prof = cardinal_profile(P)
     vs = P.vertices
@@ -207,7 +207,9 @@ def maximal_slopes(P: LatticePolygon) -> MaximalSlopes:
     q3 = Slope(QUADRANT_BASES[3], tuple(chain(n_lo, w_hi)))
     ms = MaximalSlopes(q1, q2, q3, q4, prof)
     total = sum(ms.edge_counts()) + sum(ms.marker_flags())
-    assert total == n, f"boundary decomposition miscounts: {total} != {n}"
+    if total != n:
+        raise InvariantViolation(
+            f"boundary decomposition miscounts: {total} != {n}")
     return ms
 
 
@@ -363,7 +365,7 @@ def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
     Requires the frame origin to lie outside P and both frame rays to split
     it; k is determined by the frame's basis alone, and the corresponding
     maximal slope is verified to split (failure would be a bug or a
-    counterexample, so it raises AssertionError).
+    counterexample, so it raises InvariantViolation).
     """
     if contains_point(P, f.origin) != "outside":
         raise ValueError(f"frame origin {f.origin} must lie outside the polygon")
@@ -374,9 +376,9 @@ def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
     k = next(k for k in range(1, 5)
              if QUADRANT_BASES[k] in (f.basis, f.basis.swapped()))
     qk = maximal_slopes(P).slopes()[k - 1]
-    assert frame_splits(f, qk), (
-        f"maximal slope {k} fails to split the frame: bug or counterexample"
-    )
+    if not frame_splits(f, qk):
+        raise InvariantViolation(
+            f"maximal slope {k} fails to split the frame: bug or counterexample")
     return k
 
 

@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .lattice import AffineMap, UnimodularMap, scaled_lattice
+from .lattice import (  # InvariantViolation is re-exported from here
+    AffineMap, InvariantViolation, UnimodularMap, scaled_lattice)
 from .polygon import (
     Line,
     LatticePolygon,
@@ -29,11 +30,6 @@ from .polygon import (
 )
 
 TAG_ORDER = ("I", "II", "III", "IV", "V", "VI", "Va")
-
-
-class InvariantViolation(AssertionError):
-    """A law that a reduction or a search must keep failed: a bug or a
-    counterexample.  Raised explicitly, so the check also runs under -O."""
 
 
 @dataclass(frozen=True)
@@ -444,6 +440,33 @@ def _generators(P: LatticePolygon, n: int, bound: int) -> tuple[AffineMap, ...]:
     return _fixed_generators(n, bound)
 
 
+def _states(P: LatticePolygon, n: int, bound: int):
+    """(image, map) pairs reachable from P, each once, in breadth-first order.
+
+    A state is yielded as soon as it is queued, so a caller that stops at the
+    first match builds none of its later siblings.
+    """
+    identity = AffineMap.identity()
+    yield P, identity
+    seen = {P.vertices}
+    queue = deque([(P, identity)])
+    shift_bound = bound * n
+    while queue:
+        cur, m = queue.popleft()
+        for g in _generators(cur, n, bound):
+            nm = g.compose(m)
+            if nm.linear.max_entry() > bound:
+                continue
+            if max(abs(nm.shift[0]), abs(nm.shift[1])) > shift_bound:
+                continue
+            np = transform(cur, g)
+            if np.vertices in seen:
+                continue
+            seen.add(np.vertices)
+            yield np, nm
+            queue.append((np, nm))
+
+
 def classify(P: LatticePolygon, n: int, search_bound: int = 6,
              state_limit: int = 20000) -> tuple[AffineMap, PolygonType]:
     """Find an nZ^2-automorphism carrying P into some position type.
@@ -453,37 +476,21 @@ def classify(P: LatticePolygon, n: int, search_bound: int = 6,
     translations), pruning maps whose matrix entries exceed search_bound or
     whose shift components exceed search_bound*n.  Returns the first
     (map, type) found, testing tags in canonical order; raises RuntimeError
-    when the bounded search is exhausted.
+    when more than state_limit states (P included) would be tested or the
+    bounded search is exhausted.
     """
     if n < 2:
         raise ValueError(f"type scale must be at least 2, got {n}")
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
-    seen = {P.vertices}
-    queue = deque([(P, AffineMap.identity())])
-    explored = 0
-    shift_bound = search_bound * n
-    while queue:
-        cur, m = queue.popleft()
-        explored += 1
-        if explored > state_limit:
+    for tested, (cur, m) in enumerate(_states(P, n, search_bound), 1):
+        if tested > state_limit:
             raise RuntimeError(
                 f"classification state limit {state_limit} exceeded"
             )
         for tag in TAG_ORDER:
             if _PREDICATES[tag](cur, n):
                 return m, PolygonType(tag, n)
-        for g in _generators(cur, n, search_bound):
-            nm = g.compose(m)
-            if nm.linear.max_entry() > search_bound:
-                continue
-            if max(abs(nm.shift[0]), abs(nm.shift[1])) > shift_bound:
-                continue
-            np = transform(cur, g)
-            if np.vertices in seen:
-                continue
-            seen.add(np.vertices)
-            queue.append((np, nm))
     raise RuntimeError(
         f"no position type reachable within bound {search_bound}"
     )

@@ -1,12 +1,16 @@
 """Canonical forms, invariant factors, steps, residues, and maps."""
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import latgon
 from conftest import snf_oracle
 from latgon import (
     AffineMap,
@@ -196,6 +200,29 @@ def test_snf_transform_random_lattices():
         u, f = snf_transform(lattice)
         assert apply_affine(AffineMap(u), lattice) \
             == rectangular_lattice(f.delta, f.n)
+
+
+def test_snf_routes_are_compared_under_optimize():
+    """A wrong invariant_factors makes snf_transform raise, with asserts off."""
+    code = "\n".join([
+        "import sys",
+        "import latgon.lattice as lattice",
+        "from latgon import InvariantViolation, rectangular_lattice",
+        "lattice.invariant_factors = lambda L: lattice.InvariantFactors(1, 12)",
+        "try:",
+        "    lattice.snf_transform(rectangular_lattice(2, 6))",
+        "except InvariantViolation as exc:",
+        "    print(sys.flags.optimize, exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(latgon.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 SNF routes disagree"), proc.stdout
+    assert (latgon.InvariantViolation is latgon.typeclass.InvariantViolation
+            is latgon.lattice.InvariantViolation)
 
 
 # ---------------------------------------------------------------------------

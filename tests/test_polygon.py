@@ -472,6 +472,37 @@ def test_transform_matches_hull_of_image(rng):
     assert dets == {1, -1}
 
 
+def test_unchecked_images_pass_the_checked_constructor(rng):
+    """transform and translate skip the convexity check; their results
+    must be exactly what the checked constructor accepts."""
+    signed_perms = [UnimodularMap(rows) for rows in (
+        ((0, 1), (1, 0)), ((0, -1), (1, 0)), ((0, 1), (-1, 0)),
+        ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, -1)))]
+    dets = set()
+    for _ in range(2000):
+        P = random_polygon(rng, max_points=9)
+        m = AffineMap.identity()
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                a = rng.choice([-3, -2, -1, 1, 2, 3])
+                g = AffineMap(UnimodularMap(
+                    ((1, a), (0, 1)) if rng.random() < 0.5 else ((1, 0), (a, 1))))
+            elif kind == 1:
+                g = AffineMap(rng.choice(signed_perms))
+            else:
+                g = AffineMap.translation((rng.randint(-9, 9), rng.randint(-9, 9)))
+            m = g.compose(m)
+        dets.add(m.linear.det)
+        image = transform(P, m)
+        assert LatticePolygon(image.vertices) == image
+        shift = (rng.randint(-20, 20), rng.randint(-20, 20))
+        moved = P.translate(shift)
+        assert LatticePolygon(moved.vertices) == moved
+        assert moved == transform(P, AffineMap.translation(shift))
+    assert dets == {1, -1}
+
+
 # ---------------------------------------------------------------------------
 # The four-quadrant containment lemma
 

@@ -6,6 +6,8 @@ to the vertex lists step by step, before being frozen into assertions.
 
 import random
 import re
+from collections import deque
+from functools import partial
 
 import pytest
 
@@ -33,7 +35,7 @@ from latgon import (
 )
 from latgon.polygon import Segment
 from latgon.svg import SCALE, render_polygon_svg
-from latgon.typeclass import type_shape
+from latgon.typeclass import _PREDICATES, _generators, type_shape
 
 SQUARE = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
 TRIANGLE = from_points([(-2, -1), (-1, 2), (1, 1)])
@@ -455,3 +457,67 @@ def test_classify_random_instances(rng, pool3):
         image = transform(P, m)
         assert type_predicate(image, n, t.tag)
         assert area2_and_pick(image)[0] == area2_and_pick(P)[0]
+
+
+def reference_classify(P, n, search_bound=6, state_limit=20000):
+    """The breadth-first search that tests each state when it is popped."""
+    seen = {P.vertices}
+    queue = deque([(P, AffineMap.identity())])
+    explored = 0
+    shift_bound = search_bound * n
+    while queue:
+        cur, m = queue.popleft()
+        explored += 1
+        if explored > state_limit:
+            raise RuntimeError(
+                f"classification state limit {state_limit} exceeded")
+        for tag in TAG_ORDER:
+            if _PREDICATES[tag](cur, n):
+                return m, PolygonType(tag, n)
+        for g in _generators(cur, n, search_bound):
+            nm = g.compose(m)
+            if nm.linear.max_entry() > search_bound:
+                continue
+            if max(abs(nm.shift[0]), abs(nm.shift[1])) > shift_bound:
+                continue
+            np = transform(cur, g)
+            if np.vertices in seen:
+                continue
+            seen.add(np.vertices)
+            queue.append((np, nm))
+    raise RuntimeError(f"no position type reachable within bound {search_bound}")
+
+
+def _outcome(search, P, **kwargs):
+    """(map rows, shift, tag) of a classification, or the error it raised."""
+    try:
+        m, t = search(P, 3, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+    return m.linear.rows, m.shift, t.tag
+
+
+@pytest.fixture(scope="module")
+def reduce_corpus():
+    """The 3Z^2-free polygons of [-2,4]x[-2,1]: types I, V, VI and Va."""
+    region = SearchRegion(-2, 4, -2, 1)
+    return tuple(enumerate_convex_polygons(region, avoid=scaled_lattice(3)))
+
+
+def test_classify_matches_reference_search(reduce_corpus):
+    assert len(reduce_corpus) == 4557
+    for P in reduce_corpus:
+        assert _outcome(classify, P) == _outcome(reference_classify, P), P
+
+
+@pytest.mark.parametrize("state_limit", [0, 1, 2, 5, 25])
+def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
+    """Both searches raise, or both return the same, at every limit."""
+    sample = random.Random(6).sample(reduce_corpus, 300)
+    identity = (((1, 0), (0, 1)), (0, 0))
+    moved_va = [r for r in map(partial(_outcome, classify), sample)
+                if r[2] == "Va" and r[:2] != identity]
+    assert len(moved_va) >= 5  # the sample reaches depth 1
+    for P in sample:
+        assert (_outcome(classify, P, state_limit=state_limit)
+                == _outcome(reference_classify, P, state_limit=state_limit)), P
