@@ -57,16 +57,12 @@ from .verify import (
 
 
 class _InputError(Exception):
-    """Bad input data (exit code 1)."""
-
-
-class _UsageError(Exception):
-    """Bad flags (exit code 1)."""
+    """Bad input data or flags (exit code 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
-        raise _UsageError(message)
+        raise _InputError(message)
 
 
 def _emit(obj) -> None:
@@ -405,7 +401,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except _UsageError as exc:
+    except _InputError as exc:
         _note(f"error: {exc}")
         return 1
     except SystemExit as exc:  # --help
@@ -415,7 +411,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         return ns.func(ns)
-    except (_InputError, _UsageError) as exc:
+    except _InputError as exc:
         _note(f"error: {exc}")
         return 1
     except BudgetExceededError as exc:

@@ -76,11 +76,6 @@ def encode_region(r: SearchRegion) -> dict:
             "y_min": r.y_min, "y_max": r.y_max}
 
 
-def decode_region(obj: dict) -> SearchRegion:
-    return SearchRegion(int(obj["x_min"]), int(obj["x_max"]),
-                        int(obj["y_min"]), int(obj["y_max"]))
-
-
 def encode_report(r: BoundReport) -> dict:
     return {
         "bound_name": r.bound_name,
@@ -93,21 +88,6 @@ def encode_report(r: BoundReport) -> dict:
         "exhaustive": r.exhaustive,
         "nodes_explored": r.nodes_explored,
     }
-
-
-def decode_report(obj: dict) -> BoundReport:
-    return BoundReport(
-        bound_name=obj["bound_name"],
-        n=int(obj["n"]),
-        delta=int(obj["delta"]),
-        region=decode_region(obj["region"]),
-        max_vertices_found=int(obj["max_vertices_found"]),
-        witness=decode_polygon(obj["witness"]) if obj.get("witness") else None,
-        counterexamples=tuple(decode_polygon(p)
-                              for p in obj["counterexamples"]),
-        exhaustive=bool(obj["exhaustive"]),
-        nodes_explored=int(obj["nodes_explored"]),
-    )
 
 
 def _decode_basis(obj: dict) -> SignedBasis:

@@ -21,7 +21,6 @@ from .polygon import (
     Line,
     LatticePolygon,
     Segment,
-    cardinal_profile,
     is_free_of,
     meets_line,
     splits_by_line,
@@ -75,9 +74,9 @@ def _no_multiple_strictly_between(lo: int, hi: int, n: int) -> bool:
 
 
 def _pred_i(P: LatticePolygon, n: int) -> bool:
-    prof = cardinal_profile(P)
-    return (_no_multiple_strictly_between(prof.west, prof.east, n)
-            or _no_multiple_strictly_between(prof.south, prof.north, n))
+    west, east, south, north = P.bounding_box()
+    return (_no_multiple_strictly_between(west, east, n)
+            or _no_multiple_strictly_between(south, north, n))
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
         raise ValueError("west segment does not split the polygon")
     if not splits_by_segment(P, north_seg):
         raise ValueError("north segment does not split the polygon")
-    prof = cardinal_profile(P)
+    _west, _east, south, north = P.bounding_box()
     upper_seg = Segment((0, n), (n, 2 * n))
     upper_split_before = splits_by_segment(P, upper_seg)
 
@@ -207,7 +206,7 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
     lifted = sheared(a0)
     # The split set must be the initial segment {0, ..., a0}: probe beyond the
     # first failure far enough that a revival would be caught.
-    for extra in range(a + 1, a + n + (prof.north - prof.south) + 4):
+    for extra in range(a + 1, a + n + (north - south) + 4):
         if splits_by_segment(sheared(extra), west_seg):
             raise InvariantViolation(
                 f"west split revives at shear {extra}: bug or counterexample")
@@ -223,7 +222,7 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
             "lift created an upper-segment split that was absent before")
     if a0 == 0 and lifted != P:
         raise InvariantViolation("the identity shear moved the polygon")
-    if a0 > 0 and cardinal_profile(lifted).south <= prof.south:
+    if a0 > 0 and lifted.bounding_box()[2] <= south:
         raise InvariantViolation("lift did not raise the south extreme")
     return a0, lifted, applied
 
@@ -254,6 +253,44 @@ def _check_trace(trace: ReductionTrace) -> None:
             f"result fails the {trace.result_type.tag} predicate")
 
 
+class _Recorder:
+    """One reduction in progress: its source, its steps and where they lead.
+
+    The constructor checks the scale and the source type; `apply` records a
+    step and moves the current polygon together, and `finish` checks the
+    trace it returns.
+    """
+
+    def __init__(self, P: LatticePolygon, n: int, tag: str,
+                 min_scale: int) -> None:
+        if n < min_scale:
+            raise ValueError(
+                f"reductions need scale n >= {min_scale}, got {n}")
+        if not type_predicate(P, n, tag):
+            raise ValueError(f"polygon is not of type {tag}")
+        self.source = self.cur = P
+        self.n = n
+        self.steps: list[ReductionStep] = []
+
+    def apply(self, label: str, m: AffineMap) -> None:
+        self.steps.append(ReductionStep(label, m))
+        self.cur = transform(self.cur, m)
+
+    def lift(self) -> int:
+        """Lift the current polygon and return a0; only a0 > 0 is recorded."""
+        a0, lifted, m = lift(self.cur, self.n)
+        if a0 > 0:
+            self.steps.append(ReductionStep("lift", m, a0))
+            self.cur = lifted
+        return a0
+
+    def finish(self, tag: str) -> ReductionTrace:
+        trace = ReductionTrace(self.source, self.n, tuple(self.steps),
+                               self.cur, PolygonType(tag, self.n))
+        _check_trace(trace)
+        return trace
+
+
 _REFLECT_ANTIDIAGONAL = AffineMap(UnimodularMap(((0, -1), (-1, 0))))
 
 
@@ -266,104 +303,47 @@ def reduce_type_v(P: LatticePolygon, n: int) -> ReductionTrace:
     Va triangle; otherwise the upper-west segment eventually splits and a
     translation lands in type III.
     """
-    if n < 3:
-        raise ValueError(f"reductions need scale n >= 3, got {n}")
-    if not type_predicate(P, n, "V"):
-        raise ValueError("polygon is not of type V")
-    steps: list[ReductionStep] = []
-    cur = P
+    rec = _Recorder(P, n, "V", 3)
     identity_lifts = 0
-    guard = 2 * (abs(cardinal_profile(P).south) + n) + 16
-    result_tag = None
-    for _ in range(guard):
-        a0, lifted, m = lift(cur, n)
-        if a0 > 0:
-            steps.append(ReductionStep("lift", m, a0))
-            cur = lifted
-            identity_lifts = 0
-        else:
-            identity_lifts += 1
-        if splits_by_segment(cur, Segment((-n, n), (0, n))):
-            shift = AffineMap.translation((n, 0))
-            steps.append(ReductionStep("translate", shift))
-            cur = cur.translate((n, 0))
-            result_tag = "III"
-            break
+    for _ in range(2 * (abs(P.bounding_box()[2]) + n) + 16):
+        identity_lifts = 0 if rec.lift() else identity_lifts + 1
+        if splits_by_segment(rec.cur, Segment((-n, n), (0, n))):
+            rec.apply("translate", AffineMap.translation((n, 0)))
+            return rec.finish("III")
         if identity_lifts >= 2:
-            flip = AffineMap(UnimodularMap(((1, 0), (0, -1))), (n, n))
-            steps.append(ReductionStep("flip", flip))
-            cur = transform(cur, flip)
-            result_tag = "Va"
-            break
-        steps.append(ReductionStep("reflect", _REFLECT_ANTIDIAGONAL))
-        cur = transform(cur, _REFLECT_ANTIDIAGONAL)
-    if result_tag is None:
-        raise InvariantViolation(
-            "type V reduction exceeded its termination guard")
-    trace = ReductionTrace(P, n, tuple(steps), cur, PolygonType(result_tag, n))
-    _check_trace(trace)
-    return trace
+            rec.apply("flip",
+                      AffineMap(UnimodularMap(((1, 0), (0, -1))), (n, n)))
+            return rec.finish("Va")
+        rec.apply("reflect", _REFLECT_ANTIDIAGONAL)
+    raise InvariantViolation("type V reduction exceeded its termination guard")
 
 
 def reduce_type_vi(P: LatticePolygon, n: int) -> ReductionTrace:
     """Reduce a type VI polygon to one of the types I, II, III, or V.
 
     At most two lift stages, separated by a point reflection through the
-    center of the north segment; the second stage closes with one of four
-    skew reflections picked by which diagonal segments split.
+    center of the north segment; the second stage closes with a skew
+    reflection picked by which diagonal segments split.
     """
-    if n < 3:
-        raise ValueError(f"reductions need scale n >= 3, got {n}")
-    if not type_predicate(P, n, "VI"):
-        raise ValueError("polygon is not of type VI")
-    steps: list[ReductionStep] = []
-    cur = P
-
-    def do_lift() -> LatticePolygon:
-        a0, lifted, m = lift(cur, n)
-        if a0 > 0:
-            steps.append(ReductionStep("lift", m, a0))
-        return lifted
-
-    def stage_exit() -> str | None:
-        if not splits_by_line(cur, (0, 1, n)):
-            return "V"
-        if splits_by_segment(cur, Segment((-n, n), (0, n))):
-            shift = AffineMap.translation((n, 0))
-            steps.append(ReductionStep("translate", shift))
-            return "III"
-        return None
-
-    cur = do_lift()
-    result_tag = stage_exit()
-    if result_tag == "III":
-        cur = cur.translate((n, 0))
-    elif result_tag is None:
-        center = AffineMap(UnimodularMap(((-1, 0), (0, -1))), (0, n))
-        steps.append(ReductionStep("center", center))
-        cur = transform(cur, center)
-        cur = do_lift()
-        result_tag = stage_exit()
-        if result_tag == "III":
-            cur = cur.translate((n, 0))
-        elif result_tag is None:
-            rising = splits_by_segment(cur, Segment((-n, 0), (0, n)))
-            diagonal = splits_by_segment(cur, Segment((0, 0), (n, n)))
-            unskew = AffineMap(UnimodularMap(((-1, 1), (0, 1))))
-            unskew_shift = AffineMap(UnimodularMap(((1, -1), (0, 1))), (n, 0))
-            if not rising and not diagonal:
-                result_tag, m = "I", unskew
-            elif rising and diagonal:
-                result_tag, m = "II", unskew
-            elif rising:
-                result_tag, m = "III", unskew
-            else:
-                result_tag, m = "III", unskew_shift
-            steps.append(ReductionStep("skew-reflect", m))
-            cur = transform(cur, m)
-    trace = ReductionTrace(P, n, tuple(steps), cur, PolygonType(result_tag, n))
-    _check_trace(trace)
-    return trace
+    rec = _Recorder(P, n, "VI", 3)
+    for stage in range(2):
+        if stage:
+            rec.apply("center",
+                      AffineMap(UnimodularMap(((-1, 0), (0, -1))), (0, n)))
+        rec.lift()
+        if not splits_by_line(rec.cur, (0, 1, n)):
+            return rec.finish("V")
+        if splits_by_segment(rec.cur, Segment((-n, n), (0, n))):
+            rec.apply("translate", AffineMap.translation((n, 0)))
+            return rec.finish("III")
+    rising = splits_by_segment(rec.cur, Segment((-n, 0), (0, n)))
+    diagonal = splits_by_segment(rec.cur, Segment((0, 0), (n, n)))
+    if diagonal and not rising:
+        rec.apply("skew-reflect",
+                  AffineMap(UnimodularMap(((1, -1), (0, 1))), (n, 0)))
+        return rec.finish("III")
+    rec.apply("skew-reflect", AffineMap(UnimodularMap(((-1, 1), (0, 1)))))
+    return rec.finish("II" if diagonal else "III" if rising else "I")
 
 
 def reduce_type_iv(P: LatticePolygon, n: int) -> ReductionTrace:
@@ -374,28 +354,16 @@ def reduce_type_iv(P: LatticePolygon, n: int) -> ReductionTrace:
     (x, y) -> (-x + y + n, y) lands in type II or type III; any other outcome
     is a bug or a counterexample.
     """
-    if n < 2:
-        raise ValueError(f"type scale must be at least 2, got {n}")
-    if not type_predicate(P, n, "IV"):
-        raise ValueError("polygon is not of type IV")
+    rec = _Recorder(P, n, "IV", 2)
     if splits_by_segment(P, Segment((0, -n), (n, 0))):
-        trace = ReductionTrace(P, n, (), P, PolygonType("IV", n))
-        _check_trace(trace)
-        return trace
-    skew = AffineMap(UnimodularMap(((-1, 1), (0, 1))), (n, 0))
-    cur = transform(P, skew)
-    if type_predicate(cur, n, "II"):
-        tag = "II"
-    elif type_predicate(cur, n, "III"):
-        tag = "III"
-    else:
-        raise InvariantViolation(
-            "type IV image is neither II nor III: bug or counterexample")
-    trace = ReductionTrace(
-        P, n, (ReductionStep("skew-reflect", skew),), cur, PolygonType(tag, n)
-    )
-    _check_trace(trace)
-    return trace
+        return rec.finish("IV")
+    rec.apply("skew-reflect",
+              AffineMap(UnimodularMap(((-1, 1), (0, 1))), (n, 0)))
+    for tag in ("II", "III"):
+        if type_predicate(rec.cur, n, tag):
+            return rec.finish(tag)
+    raise InvariantViolation(
+        "type IV image is neither II nor III: bug or counterexample")
 
 
 #: The reduction pipeline of each type that has one, in the order a caller

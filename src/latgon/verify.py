@@ -416,8 +416,8 @@ def capture_threshold(delta: int, n: int) -> int:
 
 def _lattice_family(delta: int, n: int) -> list[Lattice2]:
     """Canonical lattices with invariant factors (delta, n): all shear residues."""
-    if delta < 1 or n < 1 or n % delta:
-        raise ValueError(f"invalid invariant factors ({delta}, {n})")
+    if delta < 1 or n % delta or delta * n < 2:
+        raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
     return [shear_lattice(r, n // delta, scale=delta) for r in range(n // delta)]
 
 
@@ -518,11 +518,9 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
     free polygon reaching capture_threshold(delta, n) vertices refutes the
     claim and is reported (after independent re-verification).
     """
-    if delta < 1 or n % delta or delta * n < 2:
-        raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
-    nu = capture_threshold(delta, n)
     searches = [_Search(region, 3, lat, True, None)
                 for lat in _lattice_family(delta, n)]
+    nu = capture_threshold(delta, n)
     return _max_report(f"capture-at-{nu}-vertices", n, delta, region,
                        searches, (n, "any", nu - 1), budget, workers)
 
@@ -548,12 +546,11 @@ def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
     3 vertices) or when the region holds no witness; neither is a refutation.
     Raises BudgetExceededError when the budget runs out before a witness.
     """
-    if delta < 1 or n % delta or delta * n < 2:
-        raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
+    avoid = _lattice_family(delta, n)[0]
     target = capture_threshold(delta, n) - 1
     if target < 3:
         return None
-    search = _Search(region, target, _lattice_family(delta, n)[0], True, None)
+    search = _Search(region, target, avoid, True, None)
     for found, nodes, seen, exhausted in _campaign(
             _first_kernel, (target,), [search], budget, workers):
         if found is not None:

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from latgon.cli import run
-from latgon.jsonio import decode_report, decode_trace, encode_trace
+from latgon.jsonio import decode_trace, encode_trace
 
 
 def run_cli(capsys, *argv):
@@ -85,8 +85,6 @@ def test_verify_main_pentagon_capture(capsys):
         '"witness":{"vertices":[[0,1],[1,0],[6,1],[5,2]]}}\n'
     )
     assert "0 counterexamples" in err
-    report = decode_report(json.loads(out))
-    assert report.upheld
 
 
 def test_verify_main_workers_do_not_change_output(capsys):

@@ -275,30 +275,59 @@ def _assert_trace_shape(trace, source, n):
     assert m.is_automorphism_of(scaled_lattice(n))
     for step in trace.steps:
         assert (step.shear is not None) == (step.label == "lift")
+        if step.label == "lift":
+            assert step.map == _shear_map(step.shear)
+        if step.label == "translate":
+            assert step.map == AffineMap.translation((n, 0))
     assert type_predicate(trace.result, n, trace.result_type.tag)
     assert len(trace.result) == len(source)
     assert area2_and_pick(trace.result)[0] == area2_and_pick(source)[0]
 
 
-def test_reduce_type_v_to_corner_triangle():
+@pytest.mark.parametrize(
+    "vertices, labels, tag, result_vertices",
+    [
+        (TRIANGLE.vertices, ["reflect", "flip"], "Va", ((1, 2), (4, 1), (2, 4))),
+        (
+            [(-2, -2), (-1, -2), (1, 3), (-2, 2)],
+            ["lift", "translate"],
+            "III",
+            ((1, 0), (2, -1), (4, 2), (1, 4)),
+        ),
+        # Paths that reflect before they lift, and lift again after a reflection.
+        (
+            [(-3, -1), (2, 1), (-2, 3)],
+            ["reflect", "lift", "translate"],
+            "III",
+            ((0, 5), (2, -1), (4, 2)),
+        ),
+        (
+            [(-3, -4), (2, 3), (-2, 1)],
+            ["lift", "reflect", "lift", "translate"],
+            "III",
+            ((0, 5), (2, -1), (4, 2)),
+        ),
+        (
+            [(-3, -4), (2, 3), (-2, -1)],
+            ["lift", "reflect", "lift", "reflect", "reflect", "flip"],
+            "Va",
+            ((2, 0), (4, 1), (2, 4)),
+        ),
+    ],
+)
+def test_reduce_type_v_examples(vertices, labels, tag, result_vertices):
+    P = from_points(vertices)
+    trace = reduce_type_v(P, 3)
+    assert [s.label for s in trace.steps] == labels
+    assert trace.result_type == PolygonType(tag, 3)
+    assert trace.result.vertices == result_vertices
+    _assert_trace_shape(trace, P, 3)
+
+
+def test_reduce_type_v_composed_map():
     trace = reduce_type_v(TRIANGLE, 3)
-    assert [s.label for s in trace.steps] == ["reflect", "flip"]
-    assert trace.result_type == PolygonType("Va", 3)
-    assert trace.result.vertices == ((1, 2), (4, 1), (2, 4))
     assert trace.composed_map().linear.rows == ((0, -1), (1, 0))
     assert trace.composed_map().shift == (3, 3)
-    _assert_trace_shape(trace, TRIANGLE, 3)
-
-
-def test_reduce_type_v_to_type_iii():
-    P = from_points([(-2, -2), (-1, -2), (1, 3), (-2, 2)])
-    trace = reduce_type_v(P, 3)
-    assert [s.label for s in trace.steps] == ["lift", "translate"]
-    assert trace.steps[0].shear == 1
-    assert trace.steps[1].map.shift == (3, 0)
-    assert trace.result_type == PolygonType("III", 3)
-    assert trace.result.vertices == ((1, 0), (2, -1), (4, 2), (1, 4))
-    _assert_trace_shape(trace, P, 3)
 
 
 @pytest.mark.parametrize(
@@ -327,6 +356,32 @@ def test_reduce_type_v_to_type_iii():
             ["lift", "center", "skew-reflect"],
             "I",
             ((0, -1), (2, 0), (3, 4), (1, 3)),
+        ),
+        # The close-out to II, the unshifted skew to III, and the translate
+        # exit of each stage.
+        (
+            [(-3, -1), (2, 1), (3, 4), (-2, 2)],
+            ["center", "skew-reflect"],
+            "II",
+            ((-1, 1), (2, -1), (4, 2), (1, 4)),
+        ),
+        (
+            [(-2, -1), (3, 2), (2, 4)],
+            ["center", "skew-reflect"],
+            "III",
+            ((1, -1), (4, 1), (2, 4)),
+        ),
+        (
+            [(-3, -2), (-1, -3), (1, 4)],
+            ["lift", "translate"],
+            "III",
+            ((0, 4), (2, -1), (4, 2)),
+        ),
+        (
+            [(-2, -2), (2, 3), (3, 10)],
+            ["center", "lift", "translate"],
+            "III",
+            ((0, -1), (5, 1), (1, 4)),
         ),
     ],
 )

@@ -277,8 +277,9 @@ def test_check_main_theorem_unit_height_family_is_vacuous():
 
 @pytest.mark.parametrize("delta, n", [(0, 2), (2, 3), (1, 1)])
 def test_check_main_theorem_validation(delta, n):
-    with pytest.raises(ValueError):
-        check_main_theorem(delta, n, SearchRegion(0, 3, 0, 3))
+    for campaign in (check_main_theorem, find_sharpness_witness):
+        with pytest.raises(ValueError, match="need delta"):
+            campaign(delta, n, SearchRegion(0, 3, 0, 3))
 
 
 def test_sharpness_witness_found():
