@@ -14,15 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .jsonio import (
     decode_frame,
     decode_lattice,
     decode_slope,
     decode_trace,
+    decode_vec,
     encode_affine,
     encode_polygon,
-    encode_report,
     encode_trace,
 )
 from .lattice import InvariantFactors, scaled_lattice
@@ -92,8 +93,7 @@ def _parse_polygon(text: str) -> LatticePolygon:
         raise _InputError('polygon: expected {"vertices": [[x, y], ...]} '
                           "or a bare vertex list")
     try:
-        points = tuple((int(x), int(y)) for x, y in raw)
-        return from_points(points)
+        return from_points(map(decode_vec, raw))
     except (TypeError, ValueError) as exc:
         raise _InputError(f"polygon: {exc}")
 
@@ -189,21 +189,21 @@ def _cmd_verify_bound(ns) -> int:
     factors = _parse_factors(ns.factors) if ns.factors else None
     report = check_vertex_bound(ns.n, ns.tag, factors, region,
                                 budget=ns.budget, workers=ns.workers)
-    return _finish_report(report, encode_report(report))
+    return _finish_report(report, asdict(report))
 
 
 def _cmd_verify_main(ns) -> int:
     region = _parse_region(ns)
     report = check_main_theorem(ns.delta, ns.n, region,
                                 budget=ns.budget, workers=ns.workers)
-    return _finish_report(report, encode_report(report))
+    return _finish_report(report, asdict(report))
 
 
 def _cmd_verify_reductions(ns) -> int:
     region = _parse_region(ns)
     report, tally = verify_reduction_corpus(ns.n, region, budget=ns.budget,
                                             workers=ns.workers)
-    return _finish_report(report, {"report": encode_report(report),
+    return _finish_report(report, {"report": asdict(report),
                                    "tally": tally})
 
 

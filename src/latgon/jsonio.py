@@ -1,17 +1,35 @@
 """JSON wire formats for the library's values.
 
-Encoders return plain dict/list structures ready for json.dumps; decoders
-accept the same shapes and re-validate through the normal constructors, so a
-round trip always yields an equal value.
+A value whose JSON is just its dataclass fields is written with
+`dataclasses.asdict`: `BoundReport` (with its `SearchRegion` and polygons),
+`Slope` and `Frame`.  The encoders here cover the rest: polygons on the hot
+`enumerate` stream, affine maps (whose linear part is written as "matrix")
+and reduction traces (whose steps carry the lift-only shear "a").
+
+Decoders accept the same shapes and re-validate through the normal
+constructors, so a round trip always yields an equal value.  Every integer is
+read by one strict decoder: a float, string or bool raises ValueError rather
+than being truncated.
 """
 
 from __future__ import annotations
 
-from .lattice import AffineMap, Lattice2, UnimodularMap, hnf_canonicalize
+from .lattice import AffineMap, Lattice2, UnimodularMap, Vec, hnf_canonicalize
 from .polygon import LatticePolygon
 from .slope import Frame, SignedBasis, Slope
 from .typeclass import PolygonType, ReductionStep, ReductionTrace
-from .verify import BoundReport, SearchRegion
+
+
+def _int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def decode_vec(v) -> Vec:
+    """An [x, y] pair of integers."""
+    x, y = v
+    return (_int(x), _int(y))
 
 
 def encode_polygon(P: LatticePolygon) -> dict:
@@ -19,12 +37,11 @@ def encode_polygon(P: LatticePolygon) -> dict:
 
 
 def decode_polygon(obj: dict) -> LatticePolygon:
-    verts = obj["vertices"]
-    return LatticePolygon(tuple((int(x), int(y)) for x, y in verts))
+    return LatticePolygon(tuple(map(decode_vec, obj["vertices"])))
 
 
 def decode_lattice(obj: dict) -> Lattice2:
-    return hnf_canonicalize(obj["basis"])
+    return hnf_canonicalize(tuple(map(decode_vec, obj["basis"])))
 
 
 def encode_affine(m: AffineMap) -> dict:
@@ -33,10 +50,8 @@ def encode_affine(m: AffineMap) -> dict:
 
 
 def decode_affine(obj: dict) -> AffineMap:
-    (a, b), (c, d) = obj["matrix"]
-    sx, sy = obj.get("shift", (0, 0))
-    return AffineMap(UnimodularMap(((int(a), int(b)), (int(c), int(d)))),
-                     (int(sx), int(sy)))
+    rows = tuple(map(decode_vec, obj["matrix"]))
+    return AffineMap(UnimodularMap(rows), decode_vec(obj.get("shift", (0, 0))))
 
 
 def encode_trace(t: ReductionTrace) -> dict:
@@ -58,58 +73,28 @@ def encode_trace(t: ReductionTrace) -> dict:
 
 def decode_trace(obj: dict) -> ReductionTrace:
     steps = tuple(
-        ReductionStep(s["label"], decode_affine(s), s.get("a"))
+        ReductionStep(s["label"], decode_affine(s),
+                      None if s.get("a") is None else _int(s["a"]))
         for s in obj["steps"]
     )
     rt = obj["result_type"]
     return ReductionTrace(
         source=decode_polygon(obj["source"]),
-        n=int(obj["n"]),
+        n=_int(obj["n"]),
         steps=steps,
         result=decode_polygon(obj["result"]),
-        result_type=PolygonType(rt["tag"], int(rt["n"])),
+        result_type=PolygonType(rt["tag"], _int(rt["n"])),
     )
 
 
-def encode_region(r: SearchRegion) -> dict:
-    return {"x_min": r.x_min, "x_max": r.x_max,
-            "y_min": r.y_min, "y_max": r.y_max}
-
-
-def encode_report(r: BoundReport) -> dict:
-    return {
-        "bound_name": r.bound_name,
-        "n": r.n,
-        "delta": r.delta,
-        "region": encode_region(r.region),
-        "max_vertices_found": r.max_vertices_found,
-        "witness": encode_polygon(r.witness) if r.witness else None,
-        "counterexamples": [encode_polygon(p) for p in r.counterexamples],
-        "exhaustive": r.exhaustive,
-        "nodes_explored": r.nodes_explored,
-    }
-
-
 def _decode_basis(obj: dict) -> SignedBasis:
-    return SignedBasis(tuple(int(c) for c in obj["f1"]),
-                       tuple(int(c) for c in obj["f2"]))
-
-
-def encode_slope(q: Slope) -> dict:
-    return {"basis": {"f1": list(q.basis.f1), "f2": list(q.basis.f2)},
-            "vertices": [[x, y] for x, y in q.vertices]}
+    return SignedBasis(decode_vec(obj["f1"]), decode_vec(obj["f2"]))
 
 
 def decode_slope(obj: dict) -> Slope:
     return Slope(_decode_basis(obj["basis"]),
-                 tuple((int(x), int(y)) for x, y in obj["vertices"]))
-
-
-def encode_frame(f: Frame) -> dict:
-    return {"origin": list(f.origin),
-            "basis": {"f1": list(f.basis.f1), "f2": list(f.basis.f2)}}
+                 tuple(map(decode_vec, obj["vertices"])))
 
 
 def decode_frame(obj: dict) -> Frame:
-    return Frame(tuple(int(c) for c in obj["origin"]),
-                 _decode_basis(obj["basis"]))
+    return Frame(decode_vec(obj["origin"]), _decode_basis(obj["basis"]))

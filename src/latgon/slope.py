@@ -11,7 +11,7 @@ classification theorems quantitative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
@@ -475,24 +475,25 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
     """
     import random
 
-    from .jsonio import encode_frame, encode_slope  # jsonio imports this module
-
     rng = random.Random(seed)
     counts = {"slopes": 0, "witnesses": 0, "shear_witnesses": 0,
               "lattice_witnesses": 0, "splits": 0, "split_witnesses": 0,
               "small_angles": 0}
     failures: list[dict] = []
 
-    def check(key: str, failure: dict, witness, laws) -> bool:
-        """Count `key` if the witness obeys every law; else record a failure."""
+    def check(key: str, failure, witness, laws) -> bool:
+        """Count `key` if the witness obeys every law; else record a failure.
+
+        `failure()` builds the record, so instances that pass are never
+        copied into one."""
         try:
             found = witness()
         except WitnessNotFound as exc:
-            failures.append({**failure, "detail": str(exc)})
+            failures.append({**failure(), "detail": str(exc)})
             return False
         broken = [law for law, holds in laws(found) if not holds]
         if broken:
-            failures.append({**failure, "detail":
+            failures.append({**failure(), "detail":
                              f"witness {found} breaks: {'; '.join(broken)}"})
             return False
         counts[key] += 1
@@ -502,17 +503,17 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
         q = random_slope(rng)
         counts["slopes"] += 1
         check("witnesses",
-              {"kind": "edge-count-witness", "slope": encode_slope(q)},
+              lambda: {"kind": "edge-count-witness", "slope": asdict(q)},
               lambda: check_slp_witness(q), lambda s: _slp_laws(q, s))
         # Doubling all vertices puts them in 2Z^2, whose small step forces s=0.
         doubled = Slope(q.basis, tuple((2 * x, 2 * y) for x, y in q.vertices))
         check("lattice_witnesses",
-              {"kind": "coarse-lattice-witness", "slope": encode_slope(doubled)},
+              lambda: {"kind": "coarse-lattice-witness", "slope": asdict(doubled)},
               lambda: check_slp_witness(doubled, vertex_lattice=scaled_lattice(2)),
               lambda s: [("a small step above 1 forces s = 0", s == 0)])
         qs, (a, m) = random_shear_slope(rng)
         check("shear_witnesses",
-              {"kind": "shear-witness", "slope": encode_slope(qs), "shear": [a, m]},
+              lambda: {"kind": "shear-witness", "slope": asdict(qs), "shear": [a, m]},
               lambda: check_slp_witness(qs, shear=(a, m)),
               lambda s: _slp_laws(qs, s, a, m))
 
@@ -521,8 +522,8 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
         counts["splits"] += 1
         small = forms_small_angle(f, q)
         if check("split_witnesses",
-                 {"kind": "split-witness", "frame": encode_frame(f),
-                  "slope": encode_slope(q)},
+                 lambda: {"kind": "split-witness", "frame": asdict(f),
+                          "slope": asdict(q)},
                  lambda: check_th36_witness(f, q),
                  lambda st: _th36_laws(f, q, st, small)) and small:
             counts["small_angles"] += 1

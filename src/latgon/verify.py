@@ -39,7 +39,7 @@ from .typeclass import (
     InvariantViolation,
     PolygonType,
     classify,
-    polygon_types,
+    type_predicate,
 )
 
 #: Default chain-prefix node budget for a single campaign.
@@ -214,10 +214,11 @@ def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # Translation classes
 
-def _canonical_corner(bbox: tuple[int, int, int, int], L: Lattice2,
-                      region: SearchRegion) -> Vec:
-    """Lex-least bounding-box corner among the L-translates inside the region."""
-    bx0, bx1, by0, by1 = bbox
+def _is_canonical(poly: LatticePolygon, L: Lattice2,
+                  region: SearchRegion) -> bool:
+    """Is the polygon the L-translate inside the region whose bounding-box
+    corner is lex-least?"""
+    bx0, bx1, by0, by1 = poly.bounding_box()
     w, h = bx1 - bx0, by1 - by0
     p, q, r = L.p, L.q, L.r
     i = -((bx0 - region.x_min) // p)
@@ -226,7 +227,7 @@ def _canonical_corner(bbox: tuple[int, int, int, int], L: Lattice2,
         j = -((ybase - region.y_min) // r)
         ny0 = ybase + j * r
         if ny0 + h <= region.y_max:
-            return (bx0 + i * p, ny0)
+            return (bx0 + i * p, ny0) == (bx0, by0)
         i += 1
     raise InvariantViolation(
         "no feasible translate, yet the polygon itself fits")
@@ -276,10 +277,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                     if len(verts) >= emit_min:
                         poly = LatticePolygon(tuple(verts))
                         counter[1] += 1
-                        bx0, _bx1, by0, _by1 = poly.bounding_box()
-                        if avoid is None or not dedup or (
-                                _canonical_corner(poly.bounding_box(), avoid,
-                                                  region) == (bx0, by0)):
+                        if avoid is None or not dedup or _is_canonical(
+                                poly, avoid, region):
                             if avoid is not None and not is_free_of(poly, avoid):
                                 raise InvariantViolation(
                                     f"{poly.vertices} meets {avoid}")
@@ -440,7 +439,7 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
     with more than `limit` vertices."""
     best, over = None, []
     for poly in polygons:
-        if tag != "any" and tag not in polygon_types(poly, n):
+        if tag != "any" and not type_predicate(poly, n, tag):
             continue
         if best is None or len(poly) > len(best):
             best = poly
@@ -504,7 +503,7 @@ def _reverify(poly: LatticePolygon, avoid: Lattice2, n: int, tag: str) -> bool:
     if not is_free_of(poly, avoid):
         return False
     if tag != "any":
-        return tag in polygon_types(poly, n)
+        return type_predicate(poly, n, tag)
     return True
 
 

@@ -16,6 +16,25 @@ from latgon.cli import run
 from latgon.jsonio import decode_trace, encode_trace
 
 
+#: `latgon reduce --n 3 --polygon [[-2,-1],[-1,2],[1,1]]`, as printed.
+TRIANGLE_TRACE = (
+    '{"n":3,"result":{"vertices":[[1,2],[4,1],[2,4]]},'
+    '"result_type":{"n":3,"tag":"Va"},'
+    '"source":{"vertices":[[-2,-1],[1,1],[-1,2]]},'
+    '"steps":[{"label":"reflect","matrix":[[0,-1],[-1,0]],"shift":[0,0]},'
+    '{"label":"flip","matrix":[[1,0],[0,-1]],"shift":[3,3]}]}'
+)
+#: `latgon reduce --n 3 --polygon [[-2,-2],[-1,-2],[1,3],[-2,2]]`: a lift
+#: step carrying the shear "a", then a translation.
+LIFT_TRACE = (
+    '{"n":3,"result":{"vertices":[[1,0],[2,-1],[4,2],[1,4]]},'
+    '"result_type":{"n":3,"tag":"III"},'
+    '"source":{"vertices":[[-2,-2],[-1,-2],[1,3],[-2,2]]},'
+    '"steps":[{"a":1,"label":"lift","matrix":[[1,0],[-1,1]],"shift":[0,0]},'
+    '{"label":"translate","matrix":[[1,0],[0,1]],"shift":[3,0]}]}'
+)
+
+
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -318,11 +337,22 @@ def test_polygon_not_free_is_input_error(capsys):
          "--region", "0,3,0,3", "--preset", "square-n2"),  # mutually exclusive
         ("verify-main", "--delta", "2", "--n", "3",
          "--region", "0,3,0,3"),                       # delta does not divide n
+        # JSON coordinates, basis entries and scales must be integers
+        ("classify", "--n", "3", "--polygon", "[[1.9,1],[2,1],[2,2],[1,2]]"),
+        ("classify", "--n", "3", "--polygon", '[["1",1],[2,1],[2,2],[1,2]]'),
+        ("classify", "--n", "3", "--polygon", "[[true,1],[2,1],[2,2],[1,2]]"),
+        ("enumerate", "--region", "0,3,0,3",
+         "--avoid", '{"basis":[[2.5,0],[0,2]]}'),
+        ("slope-check", "--slope", '{"basis":{"f1":[1,0],"f2":[0,1]},'
+                                   '"vertices":[[0,3],[1,1],[3.9,0]]}'),
+        ("render", "--trace", TRIANGLE_TRACE.replace('{"n":3,', '{"n":3.0,')),
+        ("render", "--trace", LIFT_TRACE.replace('"a":1,', '"a":1.5,')),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
+    assert out == ""
     assert "error" in err
 
 

@@ -44,6 +44,9 @@ DIAMOND_II = from_points([(-1, 1), (2, -1), (4, 2), (1, 4)])
 EIGHT_GON = from_points(
     [(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2), (-2, 1), (-3, -1)]
 )
+# Type IV at n=4, which no 3Z^2-free polygon of [-2,4]^2 carries at n=3.
+IV_TRIANGLE = from_points([(-1, 1), (3, -2), (6, 5)])
+IV_PENTAGON = from_points([(-1, 1), (2, -1), (6, 2), (7, 5), (2, 3)])
 
 
 def west_segment(n):
@@ -56,7 +59,8 @@ def north_segment(n):
 
 @pytest.fixture(scope="module")
 def pool3():
-    """All 3Z^2-free polygons with vertices in [-2,4]^2: every tag occurs here."""
+    """All 3Z^2-free polygons with vertices in [-2,4]^2: every tag but IV
+    occurs here."""
     region = SearchRegion(-2, 4, -2, 4)
     return tuple(enumerate_convex_polygons(region, avoid=scaled_lattice(3)))
 
@@ -174,13 +178,14 @@ def test_svg_draws_each_defining_segment_and_line(tag, rng, pool3,
                                                   pool3_by_tag):
     """One black line per defining segment, thick exactly when the segment
     splits the polygon, and one dashed line per defining line."""
-    segs, lines = _expected_geometry(tag, 3)
     typed = pool3_by_tag[tag]
-    examples = [SQUARE, TRIANGLE, DIAMOND_II, EIGHT_GON,
-                from_points([(-1, 1), (3, -2), (6, 5)])]
-    for P in (examples + rng.sample(typed, min(len(typed), 25))
-              + rng.sample(pool3, 25)):
-        svg = render_polygon_svg(P, n=3, tag=tag)
+    at3 = ([SQUARE, TRIANGLE, DIAMOND_II, EIGHT_GON]
+           + rng.sample(typed, min(len(typed), 25)) + rng.sample(pool3, 25))
+    for P in (IV_TRIANGLE, IV_PENTAGON):
+        assert type_predicate(P, 4, "IV")
+    for P, n in [(P, 3) for P in at3] + [(IV_TRIANGLE, 4), (IV_PENTAGON, 4)]:
+        segs, lines = _expected_geometry(tag, n)
+        svg = render_polygon_svg(P, n=n, tag=tag)
         drawn = _SEGMENT_LINE.findall(svg)
         assert len(drawn) == len(segs)
         for seg, (x1, y1, x2, y2, width) in zip(segs, drawn):
@@ -395,7 +400,7 @@ def test_reduce_type_vi_examples(vertices, labels, tag, result_vertices):
 
 
 def test_reduce_type_iv_terminal():
-    P = from_points([(-1, 1), (3, -2), (6, 5)])
+    P = IV_TRIANGLE
     trace = reduce_type_iv(P, 4)
     assert trace.steps == ()
     assert trace.result == P
@@ -404,7 +409,7 @@ def test_reduce_type_iv_terminal():
 
 
 def test_reduce_type_iv_skew():
-    P = from_points([(-1, 1), (2, -1), (6, 2), (7, 5), (2, 3)])
+    P = IV_PENTAGON
     trace = reduce_type_iv(P, 4)
     assert [s.label for s in trace.steps] == ["skew-reflect"]
     assert trace.result_type == PolygonType("III", 4)
