@@ -7,6 +7,16 @@ lexicographically smallest vertex.  When a lattice to avoid is given, a
 partial chain is cut as soon as its hull picks up a forbidden point, and
 polygons are emitted once per translation class.
 
+The moves from a point do not depend on the chain that reached it, only on
+the anchor.  So each anchor's search keeps a ray table: the first time a
+chain reaches a point, every ray from it is walked once (through the
+region, the fan-triangle freeness test, the closing test and the two
+angular cut-offs), and each row records the points that extend the chain
+and whether one more node is counted there and closes the polygon.  The
+depth-first search replays the rows, counting nodes and checking the budget
+where a walk would, so node counts, budget stops and the emitted stream are
+those of walking every ray afresh at every node.
+
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
 subtree is a task whose polygons the campaign's kernel folds into a small
@@ -17,6 +27,7 @@ so no report depends on the worker count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -250,52 +261,95 @@ class _Search:
 
 def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                       budget: int) -> Iterator[LatticePolygon]:
+    """The polygons whose lex-least vertex is `anchor`, in DFS order.
+
+    counter[0] counts nodes (chain prefixes, plus the node where a ray stops)
+    and counter[1] the polygons seen; BudgetExceededError is raised at the
+    node that takes counter[0] past `budget`.
+    """
     region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
     x_min, x_max = region.x_min, region.x_max
     y_min, y_max = region.y_min, region.y_max
     steps = _direction_steps(region, search.vertex_lattice)
-    n_dirs = len(steps)
     halves = tuple(_dir_half(d) for d in steps)
     past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
     emit_min = max(3, search.min_vertices)
     verts: list[Vec] = [anchor]
+    # One tuple per region point, shared by every row that reaches it.
+    shared = {p: p for p in region.points()}
+    table: dict[Vec, tuple] = {}
 
-    def rec(last: int, cx: int, cy: int) -> Iterator[LatticePolygon]:
-        for j in range(last + 1, n_dirs):
-            dx, dy = steps[j]
-            px, py = cx, cy
-            nx, ny = cx + dx, cy + dy
+    def rays(c: Vec) -> tuple:
+        """(js, rows): a row (j, extensions, tail, closes) for each direction
+        index j whose ray from c enters the region, and the j of each row.
+
+        The chain may extend to each point of `extensions` in turn; after
+        them, `tail` says whether the ray stops at one more point of the
+        region (a node of its own), and `closes` whether that point is the
+        anchor, reached through a free fan triangle.
+        """
+        rows = []
+        for j, (dx, dy) in enumerate(steps):
+            px, py = c
+            nx, ny = px + dx, py + dy
+            ext: list[Vec] = []
+            tail, closes = True, False
             while x_min <= nx <= x_max and y_min <= ny <= y_max:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceededError(counter[0], counter[1])
                 if avoid is not None and _triangle_has_point(
                         avoid, anchor, (px, py), (nx, ny)):
                     break
                 if nx == ax and ny == ay:
-                    if len(verts) >= emit_min:
-                        poly = LatticePolygon(tuple(verts))
-                        counter[1] += 1
-                        if avoid is None or not dedup or _is_canonical(
-                                poly, avoid, region):
-                            if avoid is not None and not is_free_of(poly, avoid):
-                                raise InvariantViolation(
-                                    f"{poly.vertices} meets {avoid}")
-                            yield poly
+                    closes = True
                     break
                 if halves[j] and nx < ax:
                     break
                 if past_pi[j] and ny <= ay:
                     break
-                verts.append((nx, ny))
-                yield from rec(j, nx, ny)
-                verts.pop()
+                ext.append(shared[nx, ny])
                 px, py = nx, ny
                 nx += dx
                 ny += dy
+            else:
+                tail = False
+            if ext or tail:
+                rows.append((j, tuple(ext), tail, closes))
+        return tuple(row[0] for row in rows), tuple(rows)
 
-    yield from rec(-1, ax, ay)
+    def rec(last: int, c: Vec) -> Iterator[LatticePolygon]:
+        entry = table.get(c)
+        if entry is None:
+            entry = table[c] = rays(c)
+        js, rows = entry
+        for j, ext, tail, closes in rows[bisect_right(js, last):]:
+            for nxt in ext:
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise BudgetExceededError(counter[0], counter[1])
+                verts.append(nxt)
+                yield from rec(j, nxt)
+                verts.pop()
+            if tail:
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise BudgetExceededError(counter[0], counter[1])
+                if closes and len(verts) >= emit_min:
+                    poly = LatticePolygon(tuple(verts))
+                    counter[1] += 1
+                    if avoid is None or not dedup or _is_canonical(
+                            poly, avoid, region):
+                        if avoid is not None and not is_free_of(poly, avoid):
+                            raise InvariantViolation(
+                                f"{poly.vertices} meets {avoid}")
+                        yield poly
+
+    # rec refers to itself, so its closure, table included, is a reference
+    # cycle: clearing the table frees the rows now, not at the next full
+    # collection, which keeps one anchor's table in memory at a time.
+    try:
+        yield from rec(-1, anchor)
+    finally:
+        table.clear()
 
 
 def _anchors(search: _Search) -> list[Vec]:

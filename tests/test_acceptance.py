@@ -87,6 +87,7 @@ def test_criterion_04_vertex_count_cap_at_scale_three():
         report = check_vertex_bound(3, "any", None, SearchRegion(-3, 6, -3, 6),
                                     workers=4)
         assert report.exhaustive
+        assert report.nodes_explored == 10_412_712
         assert report.counterexamples == ()
         assert report.max_vertices_found == 8
         assert len(report.witness) == 8

@@ -19,7 +19,9 @@ from latgon import (
     BoundReport,
     BudgetExceededError,
     InvariantFactors,
+    InvariantViolation,
     Lattice2,
+    LatticePolygon,
     SearchRegion,
     capture_threshold,
     check_main_theorem,
@@ -35,7 +37,16 @@ from latgon import (
     type_predicate,
     verify_reduction_corpus,
 )
-from latgon.verify import _triangle_has_point
+from latgon.verify import (
+    _anchors,
+    _dir_half,
+    _direction_steps,
+    _is_canonical,
+    _iter_from_anchor,
+    _lattice_family,
+    _Search,
+    _triangle_has_point,
+)
 
 
 def region_points(region):
@@ -149,8 +160,8 @@ def test_enumerator_avoid_filters_and_dedups():
 def test_enumerator_budget():
     with pytest.raises(BudgetExceededError) as exc:
         list(enumerate_convex_polygons(SearchRegion(0, 5, 0, 5), budget=100))
-    assert exc.value.nodes > 100
-    assert exc.value.polygons_seen >= 0
+    assert exc.value.nodes == 101
+    assert exc.value.polygons_seen == 19
     assert "node budget exhausted" in str(exc.value)
 
 
@@ -160,6 +171,119 @@ def test_budget_error_pickles():
     assert type(back) is BudgetExceededError
     assert (back.nodes, back.polygons_seen) == (20001, 7)
     assert str(back) == str(err)
+
+
+# ---------------------------------------------------------------------------
+# the ray-table enumerator against the per-node walk it replaces
+
+
+def reference_iter_from_anchor(anchor, search, counter, budget):
+    """The enumerator that walks every ray afresh at every node."""
+    region, avoid, dedup = search.region, search.avoid, search.dedup
+    ax, ay = anchor
+    x_min, x_max = region.x_min, region.x_max
+    y_min, y_max = region.y_min, region.y_max
+    steps = _direction_steps(region, search.vertex_lattice)
+    n_dirs = len(steps)
+    halves = tuple(_dir_half(d) for d in steps)
+    past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
+    emit_min = max(3, search.min_vertices)
+    verts = [anchor]
+
+    def rec(last, cx, cy):
+        for j in range(last + 1, n_dirs):
+            dx, dy = steps[j]
+            px, py = cx, cy
+            nx, ny = cx + dx, cy + dy
+            while x_min <= nx <= x_max and y_min <= ny <= y_max:
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise BudgetExceededError(counter[0], counter[1])
+                if avoid is not None and _triangle_has_point(
+                        avoid, anchor, (px, py), (nx, ny)):
+                    break
+                if nx == ax and ny == ay:
+                    if len(verts) >= emit_min:
+                        poly = LatticePolygon(tuple(verts))
+                        counter[1] += 1
+                        if avoid is None or not dedup or _is_canonical(
+                                poly, avoid, region):
+                            if avoid is not None and not is_free_of(poly, avoid):
+                                raise InvariantViolation(
+                                    f"{poly.vertices} meets {avoid}")
+                            yield poly
+                    break
+                if halves[j] and nx < ax:
+                    break
+                if past_pi[j] and ny <= ay:
+                    break
+                verts.append((nx, ny))
+                yield from rec(j, nx, ny)
+                verts.pop()
+                px, py = nx, ny
+                nx += dx
+                ny += dy
+
+    yield from rec(-1, ax, ay)
+
+
+def _per_task(enumerate_from, search):
+    """(polygons, nodes, polygons seen) of each anchor task; each polygon
+    comes with the counters at the moment it is yielded."""
+    out = []
+    for anchor in _anchors(search):
+        counter = [0, 0]
+        polys = [(P.vertices, *counter) for P in enumerate_from(
+            anchor, search, counter, 10 ** 9)]
+        out.append((anchor, polys, counter[0], counter[1]))
+    return out
+
+
+def _under_budget(enumerate_from, search, budget):
+    """The stream over all anchors under one budget, and where it stopped."""
+    counter, polys = [0, 0], []
+    try:
+        for anchor in _anchors(search):
+            polys += [P.vertices for P in enumerate_from(anchor, search,
+                                                         counter, budget)]
+    except BudgetExceededError as exc:
+        return polys, (exc.nodes, exc.polygons_seen), counter
+    return polys, None, counter
+
+
+REFERENCE_SEARCHES = {
+    "no-avoid": _Search(SearchRegion(0, 3, 0, 3), 3, None, True, None),
+    "no-avoid-min5": _Search(SearchRegion(-1, 2, 0, 3), 5, None, True, None),
+    "3Z2-dedup": _Search(SearchRegion(-2, 3, -2, 3), 3, scaled_lattice(3),
+                         True, None),
+    "3Z2-dedup-small": _Search(SearchRegion(-2, 2, -2, 2), 3,
+                               scaled_lattice(3), True, None),
+    "2Z2-tagged": _Search(SearchRegion(-3, 3, -2, 2), 3, scaled_lattice(2),
+                          False, None),
+}
+REFERENCE_SEARCHES.update(
+    (f"factors-1-3-residue-{r}",
+     _Search(SearchRegion(-3, 6, -3, 6), 3, scaled_lattice(3), True, vlat))
+    for r, vlat in enumerate(_lattice_family(1, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SEARCHES))
+def test_enumerator_matches_per_node_walk(name):
+    search = REFERENCE_SEARCHES[name]
+    got = _per_task(_iter_from_anchor, search)
+    assert got == _per_task(reference_iter_from_anchor, search)
+    assert sum(len(polys) for _, polys, _, _ in got) > 0
+
+
+def test_enumerator_budget_sweep_matches_per_node_walk(rng):
+    search = REFERENCE_SEARCHES["3Z2-dedup-small"]
+    total = sum(nodes for _, _, nodes, _ in _per_task(_iter_from_anchor, search))
+    budgets = [0, 1, 2, total - 1, total] + rng.sample(range(3, total - 1), 20)
+    for budget in budgets:
+        got = _under_budget(_iter_from_anchor, search, budget)
+        assert got == _under_budget(reference_iter_from_anchor, search,
+                                    budget), budget
+        assert (got[1] is None) == (budget >= total)
 
 
 def _cross(o, a, b):
