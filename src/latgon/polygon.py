@@ -51,13 +51,18 @@ class LatticePolygon:
             raise ValueError("a polygon needs at least 3 vertices")
         if min(vs) != vs[0]:
             raise ValueError("vertices must start at the lexicographic minimum")
-        n = len(vs)
-        for i in range(n):
-            if _cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+        # Triples (vs[i], vs[i+1], vs[i+2]) cyclically in order of i, so the
+        # error names the first that fails.
+        a, b = vs[0], vs[1]
+        (ax, ay), (bx, by) = a, b
+        for c in vs[2:] + vs[:2]:
+            cx, cy = c
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise: "
-                    f"{vs[i]}, {vs[(i + 1) % n]}, {vs[(i + 2) % n]}"
+                    f"{a}, {b}, {c}"
                 )
+            a, b, ax, ay, bx, by = b, c, bx, by, cx, cy
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -68,8 +73,7 @@ class LatticePolygon:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(x_min, x_max, y_min, y_max)."""
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
+        xs, ys = zip(*self.vertices)
         return (min(xs), max(xs), min(ys), max(ys))
 
     def translate(self, shift: Vec) -> "LatticePolygon":
@@ -177,15 +181,16 @@ def cardinal_profile(P: LatticePolygon) -> CardinalProfile:
 
 def contains_point(P: LatticePolygon, point: Vec) -> str:
     """Exact location of an integer point: 'interior', 'boundary', 'outside'."""
+    px, py = point
     on_edge = False
-    vs = P.vertices
-    n = len(vs)
-    for i in range(n):
-        c = _cross(vs[i], vs[(i + 1) % n], point)
+    ax, ay = P.vertices[-1]
+    for bx, by in P.vertices:
+        c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         if c < 0:
             return "outside"
         if c == 0:
             on_edge = True
+        ax, ay = bx, by
     return "boundary" if on_edge else "interior"
 
 
@@ -222,15 +227,12 @@ def _chord_params(P: LatticePolygon, a: Vec, d: Vec) -> list[tuple[int, int]] | 
     """
     dx, dy = d
     ax, ay = a
-    dd = dx * dx + dy * dy
-    sides = []
-    dots = []
-    for x, y in P.vertices:
-        rx, ry = x - ax, y - ay
-        sides.append(dx * ry - dy * rx)
-        dots.append(dx * rx + dy * ry)
+    vs = P.vertices
+    sides = [dx * (y - ay) - dy * (x - ax) for x, y in vs]
     if not min(sides) < 0 < max(sides):
         return None
+    dots = [dx * (x - ax) + dy * (y - ay) for x, y in vs]
+    dd = dx * dx + dy * dy
     params = []
     s0, w0 = sides[-1], dots[-1]
     for s1, w1 in zip(sides, dots):

@@ -15,7 +15,13 @@ angular cut-offs), and each row records the points that extend the chain
 and whether one more node is counted there and closes the polygon.  The
 depth-first search replays the rows, counting nodes and checking the budget
 where a walk would, so node counts, budget stops and the emitted stream are
-those of walking every ray afresh at every node.
+those of walking every ray afresh at every node.  The node where a ray
+stops without closing yields nothing, so the search counts each run of
+such stops in one step, together with the extension before the run when
+the chain cannot go on from it; a run that crosses the budget stops at the
+node that crosses it.  A closed chain is tested for dedup on its bounding
+box, read off the chain, before it is built; only the polygons that pass
+are built as checked polygons and re-checked against the lattice.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -225,11 +231,18 @@ def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # Translation classes
 
-def _is_canonical(poly: LatticePolygon, L: Lattice2,
+def _chain_box(verts: list[Vec]) -> tuple[int, int, int, int]:
+    """(x_min, x_max, y_min, y_max) of a chain that starts at its
+    lexicographically least vertex, so at its least x."""
+    xs, ys = zip(*verts)
+    return xs[0], max(xs), min(ys), max(ys)
+
+
+def _is_canonical(box: tuple[int, int, int, int], L: Lattice2,
                   region: SearchRegion) -> bool:
-    """Is the polygon the L-translate inside the region whose bounding-box
-    corner is lex-least?"""
-    bx0, bx1, by0, by1 = poly.bounding_box()
+    """Is the polygon with bounding box `box` the L-translate inside the
+    region whose bounding-box corner is lex-least?"""
+    bx0, bx1, by0, by1 = box
     w, h = bx1 - bx0, by1 - by0
     p, q, r = L.p, L.q, L.r
     i = -((bx0 - region.x_min) // p)
@@ -281,26 +294,31 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     table: dict[Vec, tuple] = {}
 
     def rays(c: Vec) -> tuple:
-        """(js, rows): a row (j, extensions, tail, closes) for each direction
-        index j whose ray from c enters the region, and the j of each row.
+        """(js, rows, stops, top) for the rays from c that enter the region.
 
-        The chain may extend to each point of `extensions` in turn; after
-        them, `tail` says whether the ray stops at one more point of the
-        region (a node of its own), and `closes` whether that point is the
-        anchor, reached through a free fan triangle.
+        Along a ray the chain may extend to each point in turn (its
+        extensions); after them the ray may end at one more point of the
+        region, a node of its own.  That node closes the polygon when it is
+        the anchor, reached through a free fan triangle; otherwise the ray
+        stops there.  `stops` holds, in increasing order, the direction
+        index j of each ray that stops.  A ray with extensions, or that
+        closes, has a row (j, k, extensions, closes), where k counts the
+        stops before j; a last row, with j past every direction, counts the
+        stops after them.  `js` holds the j of each row, and `top` the
+        largest j of a ray with a row (-1 if none).
         """
-        rows = []
+        rows, stops = [], []
         for j, (dx, dy) in enumerate(steps):
             px, py = c
             nx, ny = px + dx, py + dy
             ext: list[Vec] = []
-            tail, closes = True, False
+            stop, closes = True, False
             while x_min <= nx <= x_max and y_min <= ny <= y_max:
                 if avoid is not None and _triangle_has_point(
                         avoid, anchor, (px, py), (nx, ny)):
                     break
                 if nx == ax and ny == ay:
-                    closes = True
+                    stop, closes = False, True
                     break
                 if halves[j] and nx < ax:
                     break
@@ -311,33 +329,60 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 nx += dx
                 ny += dy
             else:
-                tail = False
-            if ext or tail:
-                rows.append((j, tuple(ext), tail, closes))
-        return tuple(row[0] for row in rows), tuple(rows)
+                stop = False
+            if ext or closes:
+                rows.append((j, len(stops), tuple(ext), closes))
+            if stop:
+                stops.append(j)
+        top = rows[-1][0] if rows else -1
+        rows.append((len(steps), len(stops), (), False))
+        return tuple(row[0] for row in rows), tuple(rows), tuple(stops), top
 
-    def rec(last: int, c: Vec) -> Iterator[LatticePolygon]:
-        entry = table.get(c)
-        if entry is None:
-            entry = table[c] = rays(c)
-        js, rows = entry
-        for j, ext, tail, closes in rows[bisect_right(js, last):]:
+    def overrun(run: int) -> None:
+        """The last `run` nodes counted, which yield nothing, took counter[0]
+        past the budget: raise at the first of them that did."""
+        counter[0] = max(counter[0] - run, budget) + 1
+        raise BudgetExceededError(counter[0], counter[1])
+
+    def rec(last: int, moves: tuple) -> Iterator[LatticePolygon]:
+        """The polygons that close a chain ending at a point with table entry
+        `moves`, reached by direction index `last`.
+
+        The stops between rows, a row's own stop among them, are counted as
+        one run.  An extension point with no row past the direction that
+        reaches it is a leaf: its node and its stops are one run too.
+        """
+        js, rows, stops, _top = moves
+        done = bisect_right(stops, last)
+        for j, k, ext, closes in rows[bisect_right(js, last):]:
+            if k > done:
+                counter[0] += k - done
+                if counter[0] > budget:
+                    overrun(k - done)
+                done = k
             for nxt in ext:
+                sub = table.get(nxt) or table.setdefault(nxt, rays(nxt))
+                if sub[3] > j:
+                    counter[0] += 1
+                    if counter[0] > budget:
+                        overrun(1)
+                    verts.append(nxt)
+                    yield from rec(j, sub)
+                    verts.pop()
+                else:
+                    run = 1 + len(sub[2]) - bisect_right(sub[2], j)
+                    counter[0] += run
+                    if counter[0] > budget:
+                        overrun(run)
+            if closes:
                 counter[0] += 1
                 if counter[0] > budget:
-                    raise BudgetExceededError(counter[0], counter[1])
-                verts.append(nxt)
-                yield from rec(j, nxt)
-                verts.pop()
-            if tail:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceededError(counter[0], counter[1])
-                if closes and len(verts) >= emit_min:
-                    poly = LatticePolygon(tuple(verts))
+                    overrun(1)
+                if len(verts) >= emit_min:
                     counter[1] += 1
                     if avoid is None or not dedup or _is_canonical(
-                            poly, avoid, region):
+                            _chain_box(verts), avoid, region):
+                        poly = LatticePolygon(tuple(verts))
                         if avoid is not None and not is_free_of(poly, avoid):
                             raise InvariantViolation(
                                 f"{poly.vertices} meets {avoid}")
@@ -347,7 +392,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     # cycle: clearing the table frees the rows now, not at the next full
     # collection, which keeps one anchor's table in memory at a time.
     try:
-        yield from rec(-1, anchor)
+        yield from rec(-1, rays(anchor))
     finally:
         table.clear()
 

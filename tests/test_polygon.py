@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import classify_point_oracle, hull_oracle, random_polygon
 from latgon import (
     AffineMap,
+    Lattice2,
     LatticePolygon,
     SearchRegion,
     Segment,
     UnimodularMap,
     area2_and_pick,
     cardinal_profile,
+    contains,
     contains_point,
     enumerate_convex_polygons,
     from_points,
@@ -104,6 +106,52 @@ def test_from_points_idempotent_on_vertices():
 def test_polygon_rejects_non_canonical(vertices):
     with pytest.raises(ValueError):
         LatticePolygon(vertices)
+
+
+def reference_convexity_error(vs):
+    """The message of the first triple (vs[i], vs[i+1], vs[i+2]) that is not
+    strictly convex counterclockwise, scanning i = 0, 1, ..., or None."""
+    n = len(vs)
+    for i in range(n):
+        a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
+        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) <= 0:
+            return ("vertices must be strictly convex counterclockwise: "
+                    f"{a}, {b}, {c}")
+    return None
+
+
+def _from_least(vs):
+    k = vs.index(min(vs))
+    return tuple(vs[k:] + vs[:k])
+
+
+def test_polygon_convexity_error_names_first_failing_triple(rng):
+    """Clockwise, collinear and non-convex vertex cycles, each started at its
+    least vertex, raise the message of the first failing triple."""
+    kinds = {"clockwise": 0, "collinear": 0, "non-convex": 0}
+    for _ in range(600):
+        vs = list(random_polygon(rng, max_points=9).vertices)
+        kind = rng.choice(sorted(kinds))
+        if kind == "clockwise":
+            vs.reverse()
+        elif kind == "collinear":
+            i = rng.randrange(len(vs))
+            (x0, y0), (x1, y1) = vs[i - 1], vs[i]
+            vs.insert(i, (2 * x1 - x0, 2 * y1 - y0) if rng.random() < 0.5
+                      else (x0 + x1, y0 + y1))
+        else:
+            i, j = rng.sample(range(len(vs)), 2)
+            vs[i], vs[j] = vs[j], vs[i]
+        vs = _from_least(vs)
+        expected = reference_convexity_error(vs)
+        if expected is None:
+            assert LatticePolygon(vs).vertices == vs
+            continue
+        kinds[kind] += 1
+        with pytest.raises(ValueError) as exc:
+            LatticePolygon(vs)
+        assert str(exc.value) == expected
+    assert min(kinds.values()) > 100, kinds
 
 
 @given(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
@@ -198,6 +246,23 @@ def test_contains_point_random(rng):
         for _ in range(30):
             p = (rng.randint(-10, 10), rng.randint(-10, 10))
             assert contains_point(P, p) == classify_point_oracle(P.vertices, p)
+
+
+def test_contains_point_on_vertices_and_boundary(rng):
+    """Every point of the bounding box, grown by one, of random polygons:
+    vertices and edge points included."""
+    where = {"interior": 0, "boundary": 0, "outside": 0}
+    for _ in range(60):
+        P = random_polygon(rng, lo=-5, hi=5)
+        x_min, x_max, y_min, y_max = P.bounding_box()
+        for v in P.vertices:
+            assert contains_point(P, v) == "boundary"
+        for x in range(x_min - 1, x_max + 2):
+            for y in range(y_min - 1, y_max + 2):
+                got = contains_point(P, (x, y))
+                assert got == classify_point_oracle(P.vertices, (x, y))
+                where[got] += 1
+    assert min(where.values()) > 300, where
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +437,24 @@ def test_is_free_of_matches_brute_force(rng):
             for y in range(y_min, y_max + 1)
             if x % k == 0 and y % k == 0)
         assert is_free_of(P, scaled_lattice(k)) == brute
+
+
+def test_is_free_of_sheared_lattices_matches_brute_force(rng):
+    """Lattices with q != 0, whose columns are not those of the box."""
+    checked = {True: 0, False: 0}
+    for _ in range(200):
+        P = random_polygon(rng, lo=-4, hi=4, max_points=5)
+        r = rng.randint(2, 7)
+        L = Lattice2(rng.randint(1, 5), rng.randint(1, r - 1), r)
+        x_min, x_max, y_min, y_max = P.bounding_box()
+        brute = all(
+            classify_point_oracle(P.vertices, (x, y)) == "outside"
+            for x in range(x_min, x_max + 1)
+            for y in range(y_min, y_max + 1)
+            if contains(L, (x, y)))
+        assert is_free_of(P, L) is brute, (P, L)
+        checked[brute] += 1
+    assert min(checked.values()) > 20, checked
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import random_polygon
 from latgon import (
     TAG_ORDER,
     AffineMap,
+    InvariantViolation,
     PolygonType,
     SearchRegion,
     UnimodularMap,
@@ -35,7 +36,12 @@ from latgon import (
 )
 from latgon.polygon import Segment
 from latgon.svg import SCALE, render_polygon_svg
-from latgon.typeclass import _PREDICATES, _generators, type_shape
+from latgon.typeclass import (
+    _PREDICATES,
+    _generators,
+    _west_split_sheared,
+    type_shape,
+)
 
 SQUARE = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
 TRIANGLE = from_points([(-2, -1), (-1, 2), (1, 1)])
@@ -265,6 +271,80 @@ def test_lift_properties(rng, pool3):
         assert splits_by_segment(lifted, north)
         # one more shear kills the west split: a0 was maximal
         assert not splits_by_segment(transform(P, _shear_map(a0 + 1)), west)
+
+
+def reference_lift(P, n):
+    """The lift of a liftable polygon that builds every sheared image and
+    splits it by the west segment, in its sweep and in its revival probe."""
+    west, north = west_segment(n), north_segment(n)
+    _west, _east, south, north_y = P.bounding_box()
+    upper = Segment((0, n), (n, 2 * n))
+    upper_split_before = splits_by_segment(P, upper)
+    a0, a = 0, 1
+    while splits_by_segment(transform(P, _shear_map(a)), west):
+        a0 = a
+        a += 1
+    lifted = transform(P, _shear_map(a0))
+    for extra in range(a + 1, a + n + (north_y - south) + 4):
+        if splits_by_segment(transform(P, _shear_map(extra)), west):
+            raise InvariantViolation(
+                f"west split revives at shear {extra}: bug or counterexample")
+    if not splits_by_segment(lifted, north):
+        raise InvariantViolation("lift lost the north split")
+    if splits_by_segment(lifted, Segment((0, 0), (-n, -n))):
+        raise InvariantViolation(
+            "lift is split by the descending diagonal segment")
+    if not upper_split_before and splits_by_segment(lifted, upper):
+        raise InvariantViolation(
+            "lift created an upper-segment split that was absent before")
+    if a0 == 0 and lifted != P:
+        raise InvariantViolation("the identity shear moved the polygon")
+    if a0 > 0 and lifted.bounding_box()[2] <= south:
+        raise InvariantViolation("lift did not raise the south extreme")
+    return a0, lifted, _shear_map(a0)
+
+
+@pytest.fixture(scope="module")
+def liftable3(pool3):
+    """The polygons of pool3 and of the 3Z^2-free corpus of [-3,3]^2 that
+    both the west and the north segment split."""
+    square = enumerate_convex_polygons(SearchRegion(-3, 3, -3, 3),
+                                       avoid=scaled_lattice(3))
+    return [P for P in (*pool3, *square)
+            if splits_by_segment(P, west_segment(3))
+            and splits_by_segment(P, north_segment(3))]
+
+
+def test_lift_matches_reference(liftable3):
+    assert len(liftable3) > 3000
+    lifted = 0
+    for P in liftable3:
+        got = lift(P, 3)
+        assert got == reference_lift(P, 3), P
+        lifted += got[0] > 0
+    assert lifted > 300
+
+
+def test_west_scan_matches_sheared_image(liftable3, rng):
+    """The west split under each shear a, tested on the vertices, against
+    splits_by_segment on the sheared image: up to past the revival probe on
+    the liftable polygons, and on random polygons, which may touch the
+    segment's ends, for small a of either sign."""
+    n = 3
+    west = west_segment(n)
+    for P in liftable3:
+        a0 = lift(P, n)[0]
+        for a in range(a0 + n + 8):
+            assert (_west_split_sheared(P, n, a)
+                    == splits_by_segment(transform(P, _shear_map(a)), west)
+                    ), (P, a)
+    for _ in range(400):
+        P = random_polygon(rng, lo=-6, hi=6)
+        n = rng.randint(1, 5)
+        for a in range(-3, 4):
+            assert (_west_split_sheared(P, n, a)
+                    == splits_by_segment(transform(P, _shear_map(a)),
+                                         west_segment(n))), (P, n, a)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def reference_iter_from_anchor(anchor, search, counter, budget):
                         poly = LatticePolygon(tuple(verts))
                         counter[1] += 1
                         if avoid is None or not dedup or _is_canonical(
-                                poly, avoid, region):
+                                poly.bounding_box(), avoid, region):
                             if avoid is not None and not is_free_of(poly, avoid):
                                 raise InvariantViolation(
                                     f"{poly.vertices} meets {avoid}")
@@ -284,6 +284,63 @@ def test_enumerator_budget_sweep_matches_per_node_walk(rng):
         assert got == _under_budget(reference_iter_from_anchor, search,
                                     budget), budget
         assert (got[1] is None) == (budget >= total)
+
+
+class _CountLog(list):
+    """A [nodes, polygons seen] counter that logs each change of the node
+    count as (old, new) and the node count at each polygon seen."""
+
+    def __init__(self):
+        super().__init__([0, 0])
+        self.node_steps = []
+        self.seen_at = []
+
+    def __setitem__(self, i, value):
+        if i == 0:
+            self.node_steps.append((self[0], value))
+        else:
+            self.seen_at.append(self[0])
+        super().__setitem__(i, value)
+
+
+@pytest.mark.parametrize("name", ["3Z2-dedup-small", "3Z2-dedup"])
+def test_enumerator_budget_window_matches_per_node_walk(name):
+    """Every budget of a window around the first chain that dedup rejects.
+
+    Under budget b the search stops at node b + 1.  The window holds stops
+    on rejected chains, and stops inside runs of nodes that the enumerator
+    counts in one step, away from either end of the run.
+    """
+    search = REFERENCE_SEARCHES[name]
+    log, yielded_at = _CountLog(), set()
+    for anchor in _anchors(search):
+        for _ in _iter_from_anchor(anchor, search, log, 10 ** 9):
+            yielded_at.add(log[0])
+    rejected = sorted(set(log.seen_at) - yielded_at)
+    inside_runs = {node for old, new in log.node_steps
+                   for node in range(old + 2, new)}
+    window = range(rejected[0] - 4, rejected[0] + 12)
+    assert sum(b + 1 in rejected for b in window) >= 2
+    assert sum(b + 1 in inside_runs for b in window) >= 2
+    for budget in window:
+        got = _under_budget(_iter_from_anchor, search, budget)
+        assert got == _under_budget(reference_iter_from_anchor, search,
+                                    budget), budget
+        assert got[1] == (budget + 1, got[2][1])
+
+
+def test_enumerator_budget_stop_in_first_run():
+    """A search whose first three nodes are counted as one run: every stop
+    in it, under a negative budget too, is the per-node walk's."""
+    search = REFERENCE_SEARCHES["factors-1-3-residue-1"]
+    log = _CountLog()
+    list(_iter_from_anchor(_anchors(search)[0], search, log, 10 ** 9))
+    assert log.node_steps[0] == (0, 3)
+    for budget in (-3, -1, 0, 1, 2, 3):
+        got = _under_budget(_iter_from_anchor, search, budget)
+        assert got == _under_budget(reference_iter_from_anchor, search,
+                                    budget), budget
+        assert got[1] == (max(budget, 0) + 1, 0)
 
 
 def _cross(o, a, b):
