@@ -406,6 +406,12 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    if (getattr(ns, "budget", None) or 0) < 0:
+        _note("error: --budget must be at least 0")
+        return 1
+    if getattr(ns, "workers", 1) < 1:
+        _note("error: --workers must be at least 1")
+        return 1
     if ns.subcommand == "render" and (ns.polygon is None) == (ns.trace is None):
         _note("error: render needs exactly one of --polygon / --trace")
         return 1

@@ -215,54 +215,60 @@ def meets_line(P: LatticePolygon, line: Line) -> bool:
     return lo <= 0 <= hi
 
 
-def _chord_params(P: LatticePolygon, a: Vec, d: Vec) -> list[tuple[int, int]] | None:
-    """Chord P ∩ {a + t*d} as parameters t = num/den with den > 0.
+def _chord_within(P: LatticePolygon, a: Vec, d: Vec, bounded: bool) -> bool:
+    """True iff the line a + t*d splits P and its chord lies at t >= 0, and
+    also at t <= 1 when `bounded`.
 
-    None when the line does not split P.  Otherwise the list holds t for each
-    vertex on the line and for each edge crossing it strictly, so its minimum
-    and maximum are the chord's endpoints.  With s the signed distance from
-    the line and w the projection on d (both scaled by |d|), an edge crossing
-    from (s0, w0) to (s1, w1) meets the line at t = (s0*w1 - s1*w0) /
-    (|d|^2 * (s0 - s1)).
+    One pass computes each vertex's side s = cross(d, v - a).  A vertex on
+    the line is a chord endpoint at t = w / |d|^2, w the projection of v - a
+    on d; an edge crossing the line strictly meets it at t = cross(v0 - a,
+    v1 - a) / (s1 - s0).  Each endpoint is compared by cross-multiplication
+    as it is met, and the first one out of range ends the pass.
     """
     dx, dy = d
     ax, ay = a
-    vs = P.vertices
-    sides = [dx * (y - ay) - dy * (x - ax) for x, y in vs]
-    if not min(sides) < 0 < max(sides):
-        return None
-    dots = [dx * (x - ax) + dy * (y - ay) for x, y in vs]
-    dd = dx * dx + dy * dy
-    params = []
-    s0, w0 = sides[-1], dots[-1]
-    for s1, w1 in zip(sides, dots):
+    c = dx * ay - dy * ax
+    neg = pos = False
+    x0, y0 = P.vertices[-1]
+    s0 = dx * y0 - dy * x0 - c
+    for x1, y1 in P.vertices:
+        s1 = dx * y1 - dy * x1 - c
         if s1 == 0:
-            params.append((w1, dd))
-        elif s0 > 0 > s1:
-            params.append((s0 * w1 - s1 * w0, dd * (s0 - s1)))
-        elif s0 < 0 < s1:
-            params.append((s1 * w0 - s0 * w1, dd * (s1 - s0)))
-        s0, w0 = s1, w1
-    return params
+            w = dx * (x1 - ax) + dy * (y1 - ay)
+            if w < 0 or bounded and w > dx * dx + dy * dy:
+                return False
+        elif s1 < 0:
+            neg = True
+            if s0 > 0:
+                num = (x1 - ax) * (y0 - ay) - (x0 - ax) * (y1 - ay)
+                if num < 0 or bounded and num > s0 - s1:
+                    return False
+        else:
+            pos = True
+            if s0 < 0:
+                num = (x0 - ax) * (y1 - ay) - (x1 - ax) * (y0 - ay)
+                if num < 0 or bounded and num > s1 - s0:
+                    return False
+        x0, y0, s0 = x1, y1, s1
+    return neg and pos
 
 
 def splits_by_segment(P: LatticePolygon, seg: Segment) -> bool:
     """True iff the segment's line splits P and the chord lies inside the segment.
 
-    The chord P ∩ line is located exactly by integer cross-multiplication;
-    the test is containment of the closed chord in the closed segment.
+    The chord P ∩ line is located exactly by integer cross-multiplication in
+    one pass over the vertices; the test is containment of the closed chord
+    in the closed segment.
     """
     d = (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1])
-    chord = _chord_params(P, seg.a, d)
-    return chord is not None and all(0 <= num <= den for num, den in chord)
+    return _chord_within(P, seg.a, d, True)
 
 
 def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
     """Like splits_by_segment for the half-line origin + t*direction, t >= 0."""
     if direction == (0, 0):
         raise ValueError("zero direction")
-    chord = _chord_params(P, origin, direction)
-    return chord is not None and all(num >= 0 for num, _den in chord)
+    return _chord_within(P, origin, direction, False)
 
 
 def _points_of(P: LatticePolygon, L: Lattice2):

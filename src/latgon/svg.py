@@ -9,7 +9,7 @@ defining segments thin, and forbidden lines dotted.
 from __future__ import annotations
 
 from .lattice import Lattice2, contains, scaled_lattice
-from .polygon import LatticePolygon, splits_by_segment
+from .polygon import LatticePolygon, splits_by_segment, transform
 from .typeclass import ReductionTrace, defining_geometry
 
 SCALE = 24
@@ -120,8 +120,6 @@ def render_polygon_svg(P: LatticePolygon, n: int | None = None,
 
 def render_trace_svg(trace: ReductionTrace) -> str:
     """A multi-panel SVG: the source polygon, then the state after each step."""
-    from .polygon import transform
-
     lattice = scaled_lattice(trace.n)
     panels = [_panel(trace.source, lattice, None, trace.n, "source")]
     cur = trace.source

@@ -21,6 +21,7 @@ from .polygon import (
     Line,
     LatticePolygon,
     Segment,
+    _chord_within,
     is_free_of,
     meets_line,
     splits_by_line,
@@ -174,44 +175,15 @@ def polygon_types(P: LatticePolygon, n: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Lift
 
-def _west_split_sheared(P: LatticePolygon, n: int, a: int) -> bool:
-    """splits_by_segment(image, [0, (-n, 0)]) for the image of P under the
-    shear (x, y) -> (x, y - a*x), computed on P's own vertices.
-
-    The shear keeps x, so a vertex's side of the line y = 0 in the image is
-    y - a*x.  An edge from (x0, y0) to (x1, y1) whose image crosses the line
-    strictly meets it at x = (x0*y1 - x1*y0) / (s1 - s0) (s the sides); the
-    numerator is the same for every a, and the crossing lies on the segment
-    exactly when it is in [-n, 0].
-    """
-    neg = pos = False
-    x0, y0 = P.vertices[-1]
-    s0 = y0 - a * x0
-    for x1, y1 in P.vertices:
-        s1 = y1 - a * x1
-        if s1 == 0:
-            if not -n <= x1 <= 0:
-                return False
-        elif s1 < 0:
-            neg = True
-            if s0 > 0 and not 0 <= x0 * y1 - x1 * y0 <= n * (s0 - s1):
-                return False
-        else:
-            pos = True
-            if s0 < 0 and not 0 <= x1 * y0 - x0 * y1 <= n * (s1 - s0):
-                return False
-        x0, y0, s0 = x1, y1, s1
-    return neg and pos
-
-
 def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
     """Shear (x, y) -> (x, y - a*x) as far as the west segment stays split.
 
     Requires n >= 3, P free of nZ^2, and both [0,(-n,0)] and [0,(0,n)]
     splitting P.  Returns (a0, lifted polygon, the applied map), where a0 is
     the largest shear amount under which the west segment still splits.
-    The sweep over a tests the west split on P's vertices; only the lifted
-    image is built.
+    The shear has determinant 1, so its image splits by [0,(-n,0)] exactly
+    when P splits by the preimage [0,(-n,-a*n)]: the sweep and the revival
+    probe test that on P itself, and only the lifted image is built.
     """
     if n < 3:
         raise ValueError(f"lift needs scale n >= 3, got {n}")
@@ -228,13 +200,13 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
 
     a0 = 0
     a = 1
-    while _west_split_sheared(P, n, a):
+    while _chord_within(P, (0, 0), (-n, -a * n), True):
         a0 = a
         a += 1
     # The split set must be the initial segment {0, ..., a0}: probe beyond the
     # first failure far enough that a revival would be caught.
     for extra in range(a + 1, a + n + (north - south) + 4):
-        if _west_split_sheared(P, n, extra):
+        if _chord_within(P, (0, 0), (-n, -extra * n), True):
             raise InvariantViolation(
                 f"west split revives at shear {extra}: bug or counterexample")
     applied = AffineMap(UnimodularMap(((1, 0), (-a0, 1))))

@@ -351,6 +351,16 @@ def test_polygon_not_free_is_input_error(capsys):
                                    '"vertices":[[0,3],[1,1],[3.9,0]]}'),
         ("render", "--trace", TRIANGLE_TRACE.replace('{"n":3,', '{"n":3.0,')),
         ("render", "--trace", LIFT_TRACE.replace('"a":1,', '"a":1.5,')),
+        # node budgets are at least 0, worker counts at least 1
+        ("verify-bound", "--n", "3", "--budget", "-5", "--region=-3,3,-3,3"),
+        ("witness", "--delta", "1", "--n", "3", "--region=-3,3,-3,3",
+         "--budget", "-1"),
+        ("enumerate", "--region", "0,3,0,3", "--budget", "-1"),
+        ("verify-bound", "--n", "3", "--workers", "0", "--region=-3,3,-3,3"),
+        ("verify-main", "--delta", "1", "--n", "3", "--workers", "-4",
+         "--region=-3,3,-3,3"),
+        ("verify-reductions", "--n", "3", "--workers", "0",
+         "--region=-2,4,-2,1"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

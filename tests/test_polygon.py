@@ -388,23 +388,37 @@ def random_line_through_polygon(rng, P):
     return a, d
 
 
+#: The directions of the type_shape segments: axis-parallel and diagonal.
+TYPE_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1),
+                   (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
 def test_splits_by_segment_and_ray_match_rational_chords(rng):
-    outcomes = {"segment": set(), "ray": set()}
+    cases = []  # (family, P, a, d, k): the segment runs from a to a + k*d
     for _ in range(3000):
         P = random_polygon(rng)
         a, d = random_line_through_polygon(rng, P)
-        if d == (0, 0):
-            continue
+        if d != (0, 0):
+            cases.append(("random", P, a, d, rng.randint(1, 3)))
+    # Segments of length n between points of nZ^2, like the type_shape ones.
+    for _ in range(3000):
+        P = random_polygon(rng)
+        n = rng.randint(2, 5)
+        ux, uy = rng.choice(TYPE_DIRECTIONS)
+        a = (n * rng.randint(-8 // n, 8 // n), n * rng.randint(-8 // n, 8 // n))
+        cases.append(("nZ2", P, a, (n * ux, n * uy), 1))
+    outcomes = {(family, kind): set()
+                for family in ("random", "nZ2") for kind in ("segment", "ray")}
+    for family, P, a, d, k in cases:
         chord = chord_oracle(P, a, d)
-        k = rng.randint(1, 3)
         b = (a[0] + k * d[0], a[1] + k * d[1])
         seg_expected = chord is not None and chord[0] >= 0 and chord[1] <= k
         assert splits_by_segment(P, Segment(a, b)) == seg_expected, (P, a, b)
         ray_expected = chord is not None and chord[0] >= 0
         assert splits_by_ray(P, a, d) == ray_expected, (P, a, d)
-        outcomes["segment"].add(seg_expected)
-        outcomes["ray"].add(ray_expected)
-    assert outcomes == {"segment": {True, False}, "ray": {True, False}}
+        outcomes[family, "segment"].add(seg_expected)
+        outcomes[family, "ray"].add(ray_expected)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 # ---------------------------------------------------------------------------

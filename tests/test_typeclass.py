@@ -34,12 +34,11 @@ from latgon import (
     transform,
     type_predicate,
 )
-from latgon.polygon import Segment
+from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
     _PREDICATES,
     _generators,
-    _west_split_sheared,
     type_shape,
 )
 
@@ -326,23 +325,24 @@ def test_lift_matches_reference(liftable3):
 
 
 def test_west_scan_matches_sheared_image(liftable3, rng):
-    """The west split under each shear a, tested on the vertices, against
-    splits_by_segment on the sheared image: up to past the revival probe on
-    the liftable polygons, and on random polygons, which may touch the
-    segment's ends, for small a of either sign."""
+    """The split of P by the west segment's preimage [0, (-n, -a*n)] under
+    each shear a, as lift tests it, against splits_by_segment on the sheared
+    image: up to past the revival probe on the liftable polygons, and on
+    random polygons, which may touch the segment's ends, for small a of
+    either sign."""
     n = 3
     west = west_segment(n)
     for P in liftable3:
         a0 = lift(P, n)[0]
         for a in range(a0 + n + 8):
-            assert (_west_split_sheared(P, n, a)
+            assert (_chord_within(P, (0, 0), (-n, -a * n), True)
                     == splits_by_segment(transform(P, _shear_map(a)), west)
                     ), (P, a)
     for _ in range(400):
         P = random_polygon(rng, lo=-6, hi=6)
         n = rng.randint(1, 5)
         for a in range(-3, 4):
-            assert (_west_split_sheared(P, n, a)
+            assert (_chord_within(P, (0, 0), (-n, -a * n), True)
                     == splits_by_segment(transform(P, _shear_map(a)),
                                          west_segment(n))), (P, n, a)
 
