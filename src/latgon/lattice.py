@@ -12,6 +12,7 @@ working envelope (|coordinates| <= ~10^3) can never overflow an intermediate
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 Vec = tuple[int, int]
@@ -97,8 +98,9 @@ def standard_lattice() -> Lattice2:
     return Lattice2(1, 0, 1)
 
 
+@lru_cache(maxsize=64)
 def scaled_lattice(k: int) -> Lattice2:
-    """The lattice kZ^2."""
+    """The lattice kZ^2 (one shared instance per k; Lattice2 is frozen)."""
     return Lattice2(k, 0, k)
 
 

@@ -272,19 +272,41 @@ def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
 
 
 def _points_of(P: LatticePolygon, L: Lattice2):
-    """Points of L inside or on the polygon, column by column (x, then y)."""
-    x_min, x_max, y_min, y_max = P.bounding_box()
+    """Points of L inside or on the polygon, column by column (x, then y).
+
+    On each lattice column x = i*p the polygon is an exact interval
+    [lo, hi], and the class y = i*q (mod r) is read off it.  The polygon is
+    counterclockwise from vertices[0], its lexicographically least vertex,
+    so its lower chain runs east from there forwards and its upper chain
+    runs east from there backwards (past a vertical west edge).  Each column
+    takes the edge of either chain that spans it: lo is the ceiling of the
+    lower edge's height at x and hi the floor of the upper edge's, both by
+    integer floor division.  Columns go east, so each chain is walked once.
+    """
+    vs = P.vertices
+    x_max = max(vs)[0]
     p, q, r = L.p, L.q, L.r
-    i = -(-x_min // p)  # first i with i*p >= x_min
-    while i * p <= x_max:
-        x = i * p
-        y0 = i * q
-        y = y0 + -((y0 - y_min) // r) * r  # first y >= y_min in the class
-        while y <= y_max:
-            if contains_point(P, (x, y)) != "outside":
-                yield (x, y)
+    i = -(-vs[0][0] // p)  # first i with i*p >= x_min
+    x = i * p
+    (lax, lay), (lbx, lby) = vs[0], vs[1]
+    low = 1
+    up = -1 if vs[-1][0] == lax else 0
+    (uax, uay), (ubx, uby) = vs[up], vs[up - 1]
+    while x <= x_max:
+        while lbx < x:
+            low += 1
+            lax, lay, (lbx, lby) = lbx, lby, vs[low]
+        while ubx < x:
+            up -= 1
+            uax, uay, (ubx, uby) = ubx, uby, vs[up - 1]
+        lo = lay - (lay - lby) * (x - lax) // (lbx - lax)
+        hi = uay + (uby - uay) * (x - uax) // (ubx - uax)
+        y = lo + (i * q - lo) % r  # first y >= lo in the class
+        while y <= hi:
+            yield (x, y)
             y += r
         i += 1
+        x += p
 
 
 def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:

@@ -116,9 +116,16 @@ def type_shape(tag: str, n: int) -> TypeShape | None:
 
 def _pred_shape(P: LatticePolygon, n: int, tag: str) -> bool:
     shape = type_shape(tag, n)
-    return (all(splits_by_segment(P, s) for s in shape.segments)
-            and not any(splits_by_line(P, line) for line in shape.unsplit)
-            and not any(meets_line(P, line) for line in shape.unmet))
+    for seg in shape.segments:
+        if not splits_by_segment(P, seg):
+            return False
+    for line in shape.unsplit:
+        if splits_by_line(P, line):
+            return False
+    for line in shape.unmet:
+        if meets_line(P, line):
+            return False
+    return True
 
 
 def _pred_va(P: LatticePolygon, n: int) -> bool:
@@ -155,6 +162,9 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
     """Does the polygon have the given position type at scale n?
 
     A polygon that is not free of nZ^2 has no type (False for every tag).
+    The tagged vertex-bound campaigns skip this freeness test and call the
+    tag's entry of _PREDICATES directly: their enumerator has already
+    re-checked every polygon it emits against nZ^2.
     """
     if n < 2:
         raise ValueError(f"type scale must be at least 2, got {n}")

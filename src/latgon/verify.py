@@ -52,6 +52,7 @@ from .lattice import (
 )
 from .polygon import LatticePolygon, is_free_of, lattice_points_in, transform
 from .typeclass import (
+    _PREDICATES,
     PIPELINES,
     InvariantViolation,
     PolygonType,
@@ -535,14 +536,28 @@ def _vertex_bound(n: int, factors: InvariantFactors | None) -> int:
 def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
                 tag: str, limit: int):
     """The first largest polygon carrying `tag`, and every re-verified one
-    with more than `limit` vertices."""
-    best, over = None, []
+    with more than `limit` vertices.
+
+    A tagged search avoids nZ^2, and the enumerator has re-checked every
+    polygon it emits against that lattice, so each polygon is tested with
+    the tag's position predicate alone, not with type_predicate, whose
+    freeness test could decide nothing here.  The search's lattice is
+    checked once, up front.
+    """
+    has_tag = None
+    if tag != "any":
+        if search.avoid != scaled_lattice(n):
+            raise InvariantViolation(
+                f"a search tagged {tag} avoids {search.avoid}, not {n}Z^2")
+        has_tag = _PREDICATES[tag]
+    best, best_size, over = None, 0, []
     for poly in polygons:
-        if tag != "any" and not type_predicate(poly, n, tag):
+        if has_tag is not None and not has_tag(poly, n):
             continue
-        if best is None or len(poly) > len(best):
-            best = poly
-        if len(poly) > limit and _reverify(poly, search.avoid, n, tag):
+        size = len(poly.vertices)
+        if size > best_size:
+            best, best_size = poly, size
+        if size > limit and _reverify(poly, search.avoid, n, tag):
             over.append(poly)
     return best, over
 

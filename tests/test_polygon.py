@@ -471,6 +471,71 @@ def test_is_free_of_sheared_lattices_matches_brute_force(rng):
     assert min(checked.values()) > 20, checked
 
 
+def box_scan_oracle(P, L):
+    """Points of L in P: every lattice point of the bounding box, column by
+    column, kept unless contains_point puts it outside."""
+    x_min, x_max, y_min, y_max = P.bounding_box()
+    out = []
+    i = -(-x_min // L.p)
+    while i * L.p <= x_max:
+        x = i * L.p
+        y = i * L.q + -((i * L.q - y_min) // L.r) * L.r
+        while y <= y_max:
+            if contains_point(P, (x, y)) != "outside":
+                out.append((x, y))
+            y += L.r
+        i += 1
+    return out
+
+
+def test_lattice_points_in_matches_box_scan(rng):
+    """The column intervals give the oracle's list, order included."""
+    nonempty = sheared = 0
+    for _ in range(1500):
+        P = random_polygon(rng, lo=-7, hi=7)
+        r = rng.randint(1, 6)
+        L = Lattice2(rng.randint(1, 5), rng.randrange(r), r)
+        expected = box_scan_oracle(P, L)
+        assert lattice_points_in(P, L) == expected, (P, L)
+        assert is_free_of(P, L) is not expected
+        nonempty += bool(expected)
+        sheared += L.q != 0
+    assert nonempty > 500 and sheared > 500, (nonempty, sheared)
+
+
+@pytest.mark.parametrize("points, lattice, expected", [
+    # Vertical west and east edges, both on lattice columns.
+    ([(0, 0), (3, 1), (3, 5), (0, 4)], Lattice2(3, 1, 2),
+     [(0, 0), (0, 2), (0, 4), (3, 1), (3, 3), (3, 5)]),
+    ([(-2, -3), (2, -1), (2, 2), (-2, 1)], Lattice2(2, 0, 3),
+     [(-2, -3), (-2, 0), (0, 0), (2, 0)]),
+    # Narrower than one column: no column meets the polygon.
+    ([(1, 0), (2, 1), (1, 2)], scaled_lattice(3), []),
+    ([(-2, -5), (-1, 4), (-2, 7)], scaled_lattice(3), []),
+    ([(4, 0), (5, 3), (4, 1)], Lattice2(3, 2, 5), []),
+    # Points of L exactly on slanted edges: (2, 1) lies on the lower edge of
+    # the first and on the upper edge of the second, whose other column ends
+    # fall strictly between integers.
+    ([(0, 0), (4, 2), (0, 6)], Lattice2(2, 1, 2),
+     [(0, 0), (0, 2), (0, 4), (0, 6), (2, 1), (2, 3), (4, 2)]),
+    ([(-3, 1), (3, -2), (1, 4)], Lattice2(2, 0, 1),
+     [(-2, 1), (0, 0), (0, 1), (0, 2), (0, 3), (2, -1), (2, 0), (2, 1)]),
+])
+def test_lattice_points_in_edge_cases(points, lattice, expected):
+    P = from_points(points)
+    assert box_scan_oracle(P, lattice) == expected
+    assert lattice_points_in(P, lattice) == expected
+
+
+def test_lattice_points_match_pick_counts(rng):
+    """All integer points of P are its interior plus its boundary points."""
+    for _ in range(300):
+        P = random_polygon(rng, lo=-9, hi=9)
+        _, interior, boundary = area2_and_pick(P)
+        assert len(lattice_points_in(P, standard_lattice())) \
+            == interior + boundary, P
+
+
 # ---------------------------------------------------------------------------
 # Area and Pick counts
 

@@ -19,6 +19,7 @@ from latgon import (
     BoundReport,
     BudgetExceededError,
     InvariantFactors,
+    TAG_ORDER,
     InvariantViolation,
     Lattice2,
     LatticePolygon,
@@ -44,6 +45,7 @@ from latgon.verify import (
     _is_canonical,
     _iter_from_anchor,
     _lattice_family,
+    _max_kernel,
     _Search,
     _triangle_has_point,
 )
@@ -524,6 +526,44 @@ def test_type_iii_exists_without_vertex_constraint():
     P = from_points([(1, -1), (4, 1), (1, 4)])
     assert is_free_of(P, scaled_lattice(3))
     assert type_predicate(P, 3, "III")
+
+
+@pytest.fixture(scope="module")
+def tagged_stream_24():
+    """Every 3Z²-free polygon of [-2,4]², undeduplicated, in task order."""
+    search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
+                     None)
+    return [P for anchor in _anchors(search)
+            for P in _iter_from_anchor(anchor, search, [0, 0], 10 ** 9)]
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER)
+def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
+    """The campaign tests each polygon with the tag's position predicate
+    alone; the public type_predicate, freeness test included, must pick the
+    same first largest polygon out of the stream."""
+    best = None
+    for P in tagged_stream_24:
+        if type_predicate(P, 3, tag) and (best is None or len(P) > len(best)):
+            best = P
+    # The region holds every type but IV.
+    assert (best is None) is (tag == "IV")
+    for workers in (1, 2):
+        report = check_vertex_bound(3, tag, None, SearchRegion(-2, 4, -2, 4),
+                                    workers=workers)
+        assert report.max_vertices_found == (len(best) if best else 0)
+        assert report.witness == best
+
+
+def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
+    region = SearchRegion(-2, 2, -2, 2)
+    for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
+        search = _Search(region, 3, avoid, False, None)
+        with pytest.raises(InvariantViolation, match="tagged V"):
+            _max_kernel(iter(()), search, 3, "V", 8)
+    # Untagged campaigns, such as the capture bound, avoid any lattice.
+    assert _max_kernel(iter(()), _Search(region, 3, Lattice2(1, 0, 2), True,
+                                         None), 2, "any", 4) == (None, [])
 
 
 @pytest.mark.parametrize(
