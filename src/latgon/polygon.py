@@ -51,18 +51,34 @@ class LatticePolygon:
             raise ValueError("a polygon needs at least 3 vertices")
         if min(vs) != vs[0]:
             raise ValueError("vertices must start at the lexicographic minimum")
-        # Triples (vs[i], vs[i+1], vs[i+2]) cyclically in order of i, so the
-        # error names the first that fails.
-        a, b = vs[0], vs[1]
-        (ax, ay), (bx, by) = a, b
-        for c in vs[2:] + vs[:2]:
-            cx, cy = c
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+        # One pass over the edge vectors.  Each turn (vs[i], vs[i+1],
+        # vs[i+2]), cyclically in order of i, must be strictly to the left,
+        # and the error names the first that is not.  Left turns alone also
+        # admit cycles that wind around more than once, such as a pentagram.
+        # Started at the least vertex, a cycle that winds once has edges
+        # with dx >= 0 and then edges with dx <= 0, so it turns from west
+        # back to east once, at the wrap to the first edge; one that winds
+        # more turns back before that.
+        (bx, by), (cx, cy) = vs[0], vs[1]
+        ux, uy = cx - bx, cy - by
+        westward, eastings = False, 0
+        for dx, dy in vs[2:] + vs[:2]:
+            vx, vy = dx - cx, dy - cy
+            if ux * vy - uy * vx <= 0:
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise: "
-                    f"{a}, {b}, {c}"
+                    f"{(cx - ux, cy - uy)}, {(cx, cy)}, {(dx, dy)}"
                 )
-            a, b, ax, ay, bx, by = b, c, bx, by, cx, cy
+            if vx < 0:
+                westward = True
+            elif vx > 0 and westward:
+                westward = False
+                eastings += 1
+            cx, cy, ux, uy = dx, dy, vx, vy
+        if eastings > 1:
+            raise ValueError(
+                "vertices must be strictly convex counterclockwise: "
+                "the cycle winds around more than once")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -73,8 +89,7 @@ class LatticePolygon:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(x_min, x_max, y_min, y_max)."""
-        xs, ys = zip(*self.vertices)
-        return (min(xs), max(xs), min(ys), max(ys))
+        return _box(self.vertices)
 
     def translate(self, shift: Vec) -> "LatticePolygon":
         dx, dy = shift
@@ -82,6 +97,13 @@ class LatticePolygon:
 
     def __str__(self) -> str:
         return "Polygon[" + ", ".join(map(str, self.vertices)) + "]"
+
+
+def _box(vs: tuple[Vec, ...]) -> tuple[int, int, int, int]:
+    """(x_min, x_max, y_min, y_max) of vertices in canonical order, whose
+    first vertex is the least, so its x is the least x."""
+    ys = [y for _x, y in vs]
+    return vs[0][0], max(vs)[0], min(ys), max(ys)
 
 
 def _trusted(vertices: tuple[Vec, ...]) -> LatticePolygon:
@@ -347,21 +369,27 @@ def is_minimal(P: LatticePolygon) -> bool:
     return True
 
 
-def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
-    """Image polygon under an affine unimodular map, re-canonicalized.
+def _image(vs: tuple[Vec, ...], a: int, b: int, c: int, d: int, sx: int,
+           sy: int) -> tuple[Vec, ...]:
+    """Canonical vertices of the image of canonical vertices `vs` under
+    (x, y) -> (a*x + b*y + sx, c*x + d*y + sy), a unimodular affine map.
 
     A unimodular map keeps the polygon strictly convex; it reverses the
     orientation exactly when its determinant is -1.  So reversing the image
     in that case and rotating it to its least vertex gives the canonical
     form, and the convexity check is skipped.
     """
-    (a, b), (c, d) = m.linear.rows
-    sx, sy = m.shift
-    vs = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in P.vertices]
+    img = [(a * x + b * y + sx, c * x + d * y + sy) for x, y in vs]
     if a * d - b * c < 0:
-        vs.reverse()
-    k = vs.index(min(vs))
-    return _trusted(tuple(vs[k:] + vs[:k]))
+        img.reverse()
+    k = img.index(min(img))
+    return tuple(img[k:] + img[:k])
+
+
+def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
+    """Image polygon under an affine unimodular map, re-canonicalized."""
+    (a, b), (c, d) = m.linear.rows
+    return _trusted(_image(P.vertices, a, b, c, d, *m.shift))
 
 
 def lattice_points_in(P: LatticePolygon, L: Lattice2) -> list[Vec]:

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .lattice import (  # InvariantViolation is re-exported from here
-    AffineMap, InvariantViolation, UnimodularMap, scaled_lattice)
+    AffineMap, InvariantViolation, UnimodularMap, Vec, scaled_lattice)
 from .polygon import (
     Line,
     LatticePolygon,
     Segment,
+    _box,
     _chord_within,
+    _image,
+    _trusted,
     is_free_of,
     meets_line,
     splits_by_line,
@@ -74,10 +77,14 @@ def _no_multiple_strictly_between(lo: int, hi: int, n: int) -> bool:
     return (lo // n + 1) * n >= hi
 
 
-def _pred_i(P: LatticePolygon, n: int) -> bool:
-    west, east, south, north = P.bounding_box()
+def _box_is_i(box: tuple[int, int, int, int], n: int) -> bool:
+    west, east, south, north = box
     return (_no_multiple_strictly_between(west, east, n)
             or _no_multiple_strictly_between(south, north, n))
+
+
+def _pred_i(P: LatticePolygon, n: int) -> bool:
+    return _box_is_i(P.bounding_box(), n)
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,36 @@ def polygon_types(P: LatticePolygon, n: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Lift
 
+def _west_split_limit(P: LatticePolygon, n: int) -> int:
+    """The largest integer a whose segment [0, (-n, -a*n)] splits P, given
+    that a = 0 does, P is free of nZ^2 and [0, (0, n)] splits P.
+
+    Both ends of the segment lie in nZ^2, outside P, so it splits P exactly
+    when its open part meets int P: when a is the slope y/x of a point of
+    int P with -n < x < 0.  That set is convex and y/x is continuous on it,
+    so these slopes form an open interval, which holds 0; the splitting
+    integers a >= 0 are 0, ..., ceil(sup) - 1.  The supremum is the largest
+    y/x over the corners of P ∩ {-n <= x <= 0} off x = 0: the vertices with
+    -n <= x < 0 and the edges' crossings of x = -n.  (P meets x = 0 only
+    above the origin, as the north segment splits it, so y/x falls without
+    bound there.)  Slopes are compared by cross-multiplication.
+    """
+    num, den = None, 1
+    x0, y0 = P.vertices[-1]
+    for x1, y1 in P.vertices:
+        if -n <= x1 < 0 and (num is None or -y1 * den > num * -x1):
+            num, den = -y1, -x1
+        if (x0 + n) * (x1 + n) < 0:
+            # y/x at the crossing (-n, (y0*(x1+n) - y1*(x0+n)) / (x1-x0))
+            cn, cd = y1 * (x0 + n) - y0 * (x1 + n), n * (x1 - x0)
+            if cd < 0:
+                cn, cd = -cn, -cd
+            if num is None or cn * den > num * cd:
+                num, den = cn, cd
+        x0, y0 = x1, y1
+    return -(-num // den) - 1
+
+
 def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
     """Shear (x, y) -> (x, y - a*x) as far as the west segment stays split.
 
@@ -192,8 +229,11 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
     splitting P.  Returns (a0, lifted polygon, the applied map), where a0 is
     the largest shear amount under which the west segment still splits.
     The shear has determinant 1, so its image splits by [0,(-n,0)] exactly
-    when P splits by the preimage [0,(-n,-a*n)]: the sweep and the revival
-    probe test that on P itself, and only the lifted image is built.
+    when P splits by the preimage [0,(-n,-a*n)]: the sweep tests that on P
+    itself with the chord kernel, and only the lifted image is built.  The
+    sweep stops at the first shear that does not split; _west_split_limit
+    gives every splitting shear in closed form, and the two must agree, so
+    no shear past the first failure splits again.
     """
     if n < 3:
         raise ValueError(f"lift needs scale n >= 3, got {n}")
@@ -204,21 +244,18 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
         raise ValueError("west segment does not split the polygon")
     if not splits_by_segment(P, north_seg):
         raise ValueError("north segment does not split the polygon")
-    _west, _east, south, north = P.bounding_box()
+    south = P.bounding_box()[2]
     upper_seg = Segment((0, n), (n, 2 * n))
     upper_split_before = splits_by_segment(P, upper_seg)
 
     a0 = 0
-    a = 1
-    while _chord_within(P, (0, 0), (-n, -a * n), True):
-        a0 = a
-        a += 1
-    # The split set must be the initial segment {0, ..., a0}: probe beyond the
-    # first failure far enough that a revival would be caught.
-    for extra in range(a + 1, a + n + (north - south) + 4):
-        if _chord_within(P, (0, 0), (-n, -extra * n), True):
-            raise InvariantViolation(
-                f"west split revives at shear {extra}: bug or counterexample")
+    while _chord_within(P, (0, 0), (-n, -(a0 + 1) * n), True):
+        a0 += 1
+    limit = _west_split_limit(P, n)
+    if limit != a0:
+        raise InvariantViolation(
+            f"the west segment splits up to shear {limit} in closed form, "
+            f"but the sweep stops at {a0}: bug or counterexample")
     applied = AffineMap(UnimodularMap(((1, 0), (-a0, 1))))
     lifted = transform(P, applied)
 
@@ -383,66 +420,111 @@ PIPELINES = {"V": reduce_type_v, "VI": reduce_type_vi, "IV": reduce_type_iv}
 
 # ---------------------------------------------------------------------------
 # Breadth-first classification
+#
+# The search runs on integer maps: (a, b, c, d, sx, sy) is the affine map
+# (x, y) -> (a*x + b*y + sx, c*x + d*y + sy).  Only the returned state is
+# built as an AffineMap and a PolygonType.
 
 _SIGNED_PERMS = (
-    ((0, 1), (1, 0)),
-    ((0, -1), (1, 0)),
-    ((0, 1), (-1, 0)),
-    ((0, -1), (-1, 0)),
-    ((-1, 0), (0, 1)),
-    ((1, 0), (0, -1)),
-    ((-1, 0), (0, -1)),
+    (0, 1, 1, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0),
+    (0, 1, -1, 0, 0, 0),
+    (0, -1, -1, 0, 0, 0),
+    (-1, 0, 0, 1, 0, 0),
+    (1, 0, 0, -1, 0, 0),
+    (-1, 0, 0, -1, 0, 0),
 )
 
 
 @lru_cache(maxsize=32)
-def _fixed_generators(n: int, bound: int) -> tuple[AffineMap, ...]:
+def _fixed_generators(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """The generators that do not depend on the polygon, in search order."""
-    gens = [AffineMap(UnimodularMap(rows)) for rows in _SIGNED_PERMS]
+    gens = list(_SIGNED_PERMS)
     for a in range(1, bound + 1):
-        gens.append(AffineMap(UnimodularMap(((1, 0), (-a, 1)))))
-        gens.append(AffineMap(UnimodularMap(((1, 0), (a, 1)))))
-        gens.append(AffineMap(UnimodularMap(((1, -a), (0, 1)))))
-        gens.append(AffineMap(UnimodularMap(((1, a), (0, 1)))))
-    for shift in ((n, 0), (-n, 0), (0, n), (0, -n)):
-        gens.append(AffineMap.translation(shift))
+        gens += [(1, 0, -a, 1, 0, 0), (1, 0, a, 1, 0, 0),
+                 (1, -a, 0, 1, 0, 0), (1, a, 0, 1, 0, 0)]
+    gens += [(1, 0, 0, 1, n, 0), (1, 0, 0, 1, -n, 0),
+             (1, 0, 0, 1, 0, n), (1, 0, 0, 1, 0, -n)]
     return tuple(gens)
 
 
-def _generators(P: LatticePolygon, n: int, bound: int) -> tuple[AffineMap, ...]:
-    """Candidate nZ^2-automorphisms to move P, in deterministic order."""
-    west, _east, south, _north = P.bounding_box()
-    recenter = (-n * (west // n), -n * (south // n))
-    if recenter != (0, 0):
-        return (AffineMap.translation(recenter),) + _fixed_generators(n, bound)
-    return _fixed_generators(n, bound)
+def _images(P: LatticePolygon, n: int, bound: int):
+    """(vertices, box, map) for P and its images under compositions of the
+    generators, each image once, in breadth-first order.
 
-
-def _states(P: LatticePolygon, n: int, bound: int):
-    """(image, map) pairs reachable from P, each once, in breadth-first order.
-
-    A state is yielded as soon as it is queued, so a caller that stops at the
-    first match builds none of its later siblings.
+    The generators of a state are the fixed ones, preceded by the translation
+    by a multiple of n that moves its box's south-west corner into [0, n)^2
+    when it is not there already.  Compositions with a matrix entry above
+    `bound` or a shift component above bound*n are pruned.  A state is
+    yielded as soon as it is queued, so a caller that stops at the first
+    match builds none of its later siblings.
     """
-    identity = AffineMap.identity()
-    yield P, identity
-    seen = {P.vertices}
-    queue = deque([(P, identity)])
+    fixed = _fixed_generators(n, bound)
     shift_bound = bound * n
+    start = (P.vertices, P.bounding_box(), (1, 0, 0, 1, 0, 0))
+    yield start
+    seen = {P.vertices}
+    queue = deque([start])
     while queue:
-        cur, m = queue.popleft()
-        for g in _generators(cur, n, bound):
-            nm = g.compose(m)
-            if nm.linear.max_entry() > bound:
+        vs, (west, _east, south, _north), (ma, mb, mc, md, mx, my) = \
+            queue.popleft()
+        rx, ry = -n * (west // n), -n * (south // n)
+        gens = fixed if rx == ry == 0 else ((1, 0, 0, 1, rx, ry),) + fixed
+        for ga, gb, gc, gd, gx, gy in gens:
+            a, b = ga * ma + gb * mc, ga * mb + gb * md
+            c, d = gc * ma + gd * mc, gc * mb + gd * md
+            if max(abs(a), abs(b), abs(c), abs(d)) > bound:
                 continue
-            if max(abs(nm.shift[0]), abs(nm.shift[1])) > shift_bound:
+            sx, sy = ga * mx + gb * my + gx, gc * mx + gd * my + gy
+            if abs(sx) > shift_bound or abs(sy) > shift_bound:
                 continue
-            np = transform(cur, g)
-            if np.vertices in seen:
+            img = _image(vs, ga, gb, gc, gd, gx, gy)
+            if img in seen:
                 continue
-            seen.add(np.vertices)
-            yield np, nm
-            queue.append((np, nm))
+            seen.add(img)
+            state = (img, _box(img), (a, b, c, d, sx, sy))
+            yield state
+            queue.append(state)
+
+
+@lru_cache(maxsize=64)
+def _segment_gates(n: int) -> tuple[tuple[str, int, int, int, int], ...]:
+    """(tag, x_lo, x_hi, y_lo, y_hi) for the types II to VI at scale n.
+
+    Every `type_shape` segment lies on a line x = c or y = c, and a segment
+    on y = c splits P only if south < c < north (likewise for x = c).  So a
+    polygon can have the type only when west < x_lo, x_hi < east,
+    south < y_lo and y_hi < north, the bounds of the lines of its segments.
+    """
+    gates = []
+    for tag in ("II", "III", "IV", "V", "VI"):
+        segs = type_shape(tag, n).segments
+        xs = [s.a[0] for s in segs if s.a[1] != s.b[1]]
+        ys = [s.a[1] for s in segs if s.a[1] == s.b[1]]
+        gates.append((tag, min(xs), max(xs), min(ys), max(ys)))
+    return tuple(gates)
+
+
+def _first_tag(vs: tuple[Vec, ...], box: tuple[int, int, int, int],
+               n: int) -> str | None:
+    """The first tag in TAG_ORDER of the free polygon with canonical vertices
+    `vs` and bounding box `box`, or None.
+
+    I is read off the box; each other tag's predicate runs only when the box
+    allows the type: II to VI by _segment_gates, Va when west >= 0 and
+    south >= 0.
+    """
+    if _box_is_i(box, n):
+        return "I"
+    west, east, south, north = box
+    P = _trusted(vs)
+    for tag, x_lo, x_hi, y_lo, y_hi in _segment_gates(n):
+        if (west < x_lo and x_hi < east and south < y_lo and y_hi < north
+                and _PREDICATES[tag](P, n)):
+            return tag
+    if west >= 0 and south >= 0 and _PREDICATES["Va"](P, n):
+        return "Va"
+    return None
 
 
 def classify(P: LatticePolygon, n: int, search_bound: int = 6,
@@ -461,14 +543,16 @@ def classify(P: LatticePolygon, n: int, search_bound: int = 6,
         raise ValueError(f"type scale must be at least 2, got {n}")
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
-    for tested, (cur, m) in enumerate(_states(P, n, search_bound), 1):
+    for tested, (vs, box, m) in enumerate(_images(P, n, search_bound), 1):
         if tested > state_limit:
             raise RuntimeError(
                 f"classification state limit {state_limit} exceeded"
             )
-        for tag in TAG_ORDER:
-            if _PREDICATES[tag](cur, n):
-                return m, PolygonType(tag, n)
+        tag = _first_tag(vs, box, n)
+        if tag is not None:
+            a, b, c, d, sx, sy = m
+            return (AffineMap(UnimodularMap(((a, b), (c, d))), (sx, sy)),
+                    PolygonType(tag, n))
     raise RuntimeError(
         f"no position type reachable within bound {search_bound}"
     )

@@ -19,9 +19,10 @@ those of walking every ray afresh at every node.  The node where a ray
 stops without closing yields nothing, so the search counts each run of
 such stops in one step, together with the extension before the run when
 the chain cannot go on from it; a run that crosses the budget stops at the
-node that crosses it.  A closed chain is tested for dedup on its bounding
-box, read off the chain, before it is built; only the polygons that pass
-are built as checked polygons and re-checked against the lattice.
+node that crosses it.  The search carries each chain's bounding box down
+with it, and a closed chain is tested for dedup on that box before it is
+built; only the polygons that pass are built as checked polygons and
+re-checked against the lattice.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -232,13 +233,6 @@ def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # Translation classes
 
-def _chain_box(verts: list[Vec]) -> tuple[int, int, int, int]:
-    """(x_min, x_max, y_min, y_max) of a chain that starts at its
-    lexicographically least vertex, so at its least x."""
-    xs, ys = zip(*verts)
-    return xs[0], max(xs), min(ys), max(ys)
-
-
 def _is_canonical(box: tuple[int, int, int, int], L: Lattice2,
                   region: SearchRegion) -> bool:
     """Is the polygon with bounding box `box` the L-translate inside the
@@ -345,13 +339,16 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         counter[0] = max(counter[0] - run, budget) + 1
         raise BudgetExceededError(counter[0], counter[1])
 
-    def rec(last: int, moves: tuple) -> Iterator[LatticePolygon]:
+    def rec(last: int, moves: tuple, x_hi: int, y_lo: int,
+            y_hi: int) -> Iterator[LatticePolygon]:
         """The polygons that close a chain ending at a point with table entry
         `moves`, reached by direction index `last`.
 
-        The stops between rows, a row's own stop among them, are counted as
-        one run.  An extension point with no row past the direction that
-        reaches it is a leaf: its node and its stops are one run too.
+        The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
+        anchor, its least x.  The stops between rows, a row's own stop among
+        them, are counted as one run.  An extension point with no row past
+        the direction that reaches it is a leaf: its node and its stops are
+        one run too.
         """
         js, rows, stops, _top = moves
         done = bisect_right(stops, last)
@@ -368,7 +365,10 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                     if counter[0] > budget:
                         overrun(1)
                     verts.append(nxt)
-                    yield from rec(j, sub)
+                    nx, ny = nxt
+                    yield from rec(j, sub, nx if nx > x_hi else x_hi,
+                                   ny if ny < y_lo else y_lo,
+                                   ny if ny > y_hi else y_hi)
                     verts.pop()
                 else:
                     run = 1 + len(sub[2]) - bisect_right(sub[2], j)
@@ -382,7 +382,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 if len(verts) >= emit_min:
                     counter[1] += 1
                     if avoid is None or not dedup or _is_canonical(
-                            _chain_box(verts), avoid, region):
+                            (ax, x_hi, y_lo, y_hi), avoid, region):
                         poly = LatticePolygon(tuple(verts))
                         if avoid is not None and not is_free_of(poly, avoid):
                             raise InvariantViolation(
@@ -393,7 +393,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     # cycle: clearing the table frees the rows now, not at the next full
     # collection, which keeps one anchor's table in memory at a time.
     try:
-        yield from rec(-1, rays(anchor))
+        yield from rec(-1, rays(anchor), ax, ay, ay)
     finally:
         table.clear()
 

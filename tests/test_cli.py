@@ -38,6 +38,14 @@ LIFT_TRACE = (
     '{"label":"translate","matrix":[[1,0],[0,1]],"shift":[3,0]}]}'
 )
 
+#: A trace whose source and result are a pentagram, a vertex cycle that
+#: turns left throughout but winds around twice.
+PENTAGRAM_TRACE = (
+    '{"n":3,"result":{"vertices":[[-1,2],[3,0],[2,4],[0,0],[4,2]]},'
+    '"result_type":{"n":3,"tag":"I"},'
+    '"source":{"vertices":[[-1,2],[3,0],[2,4],[0,0],[4,2]]},"steps":[]}'
+)
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -82,6 +90,11 @@ def test_reduce_triangle_trace_round_trips(capsys):
     assert [s["label"] for s in obj["steps"]] == ["reflect", "flip"]
     trace = decode_trace(obj)
     assert encode_trace(trace) == obj
+
+
+def test_decode_trace_rejects_a_pentagram():
+    with pytest.raises(ValueError, match="winds around more than once"):
+        decode_trace(json.loads(PENTAGRAM_TRACE))
 
 
 def test_reduce_explicit_kind_mismatch(capsys):
@@ -351,6 +364,7 @@ def test_polygon_not_free_is_input_error(capsys):
                                    '"vertices":[[0,3],[1,1],[3.9,0]]}'),
         ("render", "--trace", TRIANGLE_TRACE.replace('{"n":3,', '{"n":3.0,')),
         ("render", "--trace", LIFT_TRACE.replace('"a":1,', '"a":1.5,')),
+        ("render", "--trace", PENTAGRAM_TRACE),        # not a polygon
         # node budgets are at least 0, worker counts at least 1
         ("verify-bound", "--n", "3", "--budget", "-5", "--region=-3,3,-3,3"),
         ("witness", "--delta", "1", "--n", "3", "--region=-3,3,-3,3",

@@ -1,7 +1,9 @@
 """Convex polygon construction, predicates, counts, and transforms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -152,6 +154,65 @@ def test_polygon_convexity_error_names_first_failing_triple(rng):
             LatticePolygon(vs)
         assert str(exc.value) == expected
     assert min(kinds.values()) > 100, kinds
+
+
+#: Every turn is to the left, but the cycle winds around twice.
+PENTAGRAM = ((-1, 2), (3, 0), (2, 4), (0, 0), (4, 2))
+
+
+def test_polygon_rejects_a_cycle_that_winds_twice():
+    assert reference_convexity_error(PENTAGRAM) is None
+    with pytest.raises(ValueError, match="winds around more than once"):
+        LatticePolygon(PENTAGRAM)
+
+
+def _accepted(vs):
+    try:
+        LatticePolygon(vs)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_own_hull(vs):
+    try:
+        return from_points(vs).vertices == vs
+    except ValueError:
+        return False
+
+
+def test_polygon_accepts_exactly_its_own_hull(rng):
+    """A vertex cycle started at its least vertex is accepted exactly when
+    it equals from_points of its own points.  The cycles are convex hulls,
+    their reversals and shuffles, star orderings of them (every k-th vertex
+    with 2k < m: each turn is to the left, and the cycle winds k times), and
+    random points in random order, repeats included."""
+    counts = Counter()
+    for _ in range(20_000):
+        hull = list(random_polygon(rng, max_points=14).vertices)
+        m = len(hull)
+        kind = rng.choice(("hull", "reversed", "shuffled", "star", "points"))
+        steps = [k for k in range(2, (m + 1) // 2) if gcd(k, m) == 1]
+        if kind == "star" and steps:
+            k = rng.choice(steps)
+            vs = [hull[i * k % m] for i in range(m)]
+        elif kind == "reversed":
+            vs = hull[::-1]
+        elif kind == "shuffled":
+            vs = rng.sample(hull, m)
+        elif kind == "points":
+            vs = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(rng.randint(3, 8))]
+        else:
+            vs = hull
+        vs = _from_least(vs)
+        expected = _is_own_hull(vs)
+        assert _accepted(vs) is expected, vs
+        counts[kind, expected] += 1
+    assert counts["hull", True] > 3000, counts
+    assert counts["star", False] > 1000, counts
+    assert counts["shuffled", False] > 1000, counts
+    assert counts["points", False] > 1000, counts
 
 
 @given(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)),

@@ -6,7 +6,7 @@ to the vertex lists step by step, before being frozen into assertions.
 
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from functools import partial
 
 import pytest
@@ -38,7 +38,8 @@ from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
     _PREDICATES,
-    _generators,
+    _first_tag,
+    _west_split_limit,
     type_shape,
 )
 
@@ -314,14 +315,45 @@ def liftable3(pool3):
             and splits_by_segment(P, north_segment(3))]
 
 
-def test_lift_matches_reference(liftable3):
-    assert len(liftable3) > 3000
-    lifted = 0
-    for P in liftable3:
-        got = lift(P, 3)
-        assert got == reference_lift(P, 3), P
-        lifted += got[0] > 0
-    assert lifted > 300
+def _random_liftable_past_west_line(rng, count):
+    """(P, n) with P free of nZ^2, split by the west and the north segment
+    and reaching past the line x = -n, so that edges cross it: random hulls
+    of one point west of x = -n and two or three near the origin, each also
+    under a random shear (x, y) -> (x, y + b*x) that keeps it liftable."""
+    found = []
+    while len(found) < count:
+        n = rng.randint(3, 6)
+        pts = [(rng.randint(-3 * n, -n - 1), rng.randint(-3 * n, n))]
+        pts += [(rng.randint(-n, n), rng.randint(-2 * n, n))
+                for _ in range(rng.randint(2, 3))]
+        try:
+            P = transform(from_points(pts), _shear_map(-rng.randint(0, 3)))
+        except ValueError:
+            continue
+        if (splits_by_segment(P, west_segment(n))
+                and splits_by_segment(P, north_segment(n))
+                and is_free_of(P, scaled_lattice(n))):
+            found.append((P, n))
+    return found
+
+
+def test_lift_matches_reference(liftable3, corpus4, rng):
+    """lift equals reference_lift, whose bounded probe finds no revival, and
+    the closed form of the split shears equals the sweep's a0: on every
+    liftable polygon of liftable3, on the V and VI images of the n = 4
+    corpus, and on random liftable polygons whose edges cross x = -n (which
+    no polygon of the other two does)."""
+    images4 = [transform(P, m) for P, m, t in corpus4 if t.tag in ("V", "VI")]
+    assert len(liftable3) > 3000 and len(images4) == 2900 + 913
+    lifted = Counter()
+    for P, n in ([(P, 3) for P in liftable3] + [(P, 4) for P in images4]
+                 + _random_liftable_past_west_line(rng, 600)):
+        got = reference_lift(P, n)
+        assert lift(P, n) == got, (P, n)
+        assert _west_split_limit(P, n) == got[0], (P, n)
+        lifted[n, got[0]] += 1
+    assert sum(k for (_n, a0), k in lifted.items() if a0 > 0) > 1000
+    assert {n for (n, a0) in lifted if a0 > 1} >= {3, 4, 5, 6}, lifted
 
 
 def test_west_scan_matches_sheared_image(liftable3, rng):
@@ -599,8 +631,38 @@ def test_classify_random_instances(rng, pool3):
         assert area2_and_pick(image)[0] == area2_and_pick(P)[0]
 
 
+_SIGNED_PERMS = (
+    ((0, 1), (1, 0)),
+    ((0, -1), (1, 0)),
+    ((0, 1), (-1, 0)),
+    ((0, -1), (-1, 0)),
+    ((-1, 0), (0, 1)),
+    ((1, 0), (0, -1)),
+    ((-1, 0), (0, -1)),
+)
+
+
+def reference_generators(P, n, bound):
+    """classify's generators for P as AffineMap objects, in search order: the
+    recentering translation (when P's box corner is not in [0, n)^2), the
+    signed permutations, the shears and the unit translations."""
+    west, _east, south, _north = P.bounding_box()
+    recenter = (-n * (west // n), -n * (south // n))
+    gens = [AffineMap.translation(recenter)] if recenter != (0, 0) else []
+    gens += [AffineMap(UnimodularMap(rows)) for rows in _SIGNED_PERMS]
+    for a in range(1, bound + 1):
+        gens.append(AffineMap(UnimodularMap(((1, 0), (-a, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, 0), (a, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, -a), (0, 1)))))
+        gens.append(AffineMap(UnimodularMap(((1, a), (0, 1)))))
+    for shift in ((n, 0), (-n, 0), (0, n), (0, -n)):
+        gens.append(AffineMap.translation(shift))
+    return gens
+
+
 def reference_classify(P, n, search_bound=6, state_limit=20000):
-    """The breadth-first search that tests each state when it is popped."""
+    """The breadth-first search on polygon and map objects that tests each
+    state, every tag's predicate in turn, when it is popped."""
     seen = {P.vertices}
     queue = deque([(P, AffineMap.identity())])
     explored = 0
@@ -614,7 +676,7 @@ def reference_classify(P, n, search_bound=6, state_limit=20000):
         for tag in TAG_ORDER:
             if _PREDICATES[tag](cur, n):
                 return m, PolygonType(tag, n)
-        for g in _generators(cur, n, search_bound):
+        for g in reference_generators(cur, n, search_bound):
             nm = g.compose(m)
             if nm.linear.max_entry() > search_bound:
                 continue
@@ -628,10 +690,10 @@ def reference_classify(P, n, search_bound=6, state_limit=20000):
     raise RuntimeError(f"no position type reachable within bound {search_bound}")
 
 
-def _outcome(search, P, **kwargs):
+def _outcome(search, P, n=3, **kwargs):
     """(map rows, shift, tag) of a classification, or the error it raised."""
     try:
-        m, t = search(P, 3, **kwargs)
+        m, t = search(P, n, **kwargs)
     except RuntimeError as exc:
         return str(exc)
     return m.linear.rows, m.shift, t.tag
@@ -644,10 +706,33 @@ def reduce_corpus():
     return tuple(enumerate_convex_polygons(region, avoid=scaled_lattice(3)))
 
 
+@pytest.fixture(scope="module")
+def corpus4():
+    """The 4Z^2-free polygons of [-3,5]x[-2,1], each with its classification
+    map and tag."""
+    region = SearchRegion(-3, 5, -2, 1)
+    return tuple((P,) + classify(P, 4) for P in
+                 enumerate_convex_polygons(region, avoid=scaled_lattice(4)))
+
+
 def test_classify_matches_reference_search(reduce_corpus):
     assert len(reduce_corpus) == 4557
     for P in reduce_corpus:
         assert _outcome(classify, P) == _outcome(reference_classify, P), P
+
+
+def test_classify_matches_reference_search_at_scale_4(corpus4):
+    """Off the benchmark's region and scale: the n = 4 corpus, whose tally
+    is pinned, and a seeded sample of it against the object search."""
+    tally = Counter(t.tag for _P, _m, t in corpus4)
+    assert tally == {"I": 14614, "V": 2900, "VI": 913, "Va": 1066}
+    by_tag = {tag: [P for P, _m, t in corpus4 if t.tag == tag]
+              for tag in tally}
+    sample = random.Random(14)
+    for tag, polygons in sorted(by_tag.items()):
+        for P in sample.sample(polygons, 300):
+            assert (_outcome(classify, P, 4)
+                    == _outcome(reference_classify, P, 4)), P
 
 
 @pytest.mark.parametrize("state_limit", [0, 1, 2, 5, 25])
@@ -661,3 +746,22 @@ def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
     for P in sample:
         assert (_outcome(classify, P, state_limit=state_limit)
                 == _outcome(reference_classify, P, state_limit=state_limit)), P
+
+
+def test_type_shape_segments_are_axis_parallel():
+    """classify's box gate reads each segment's line as x = c or y = c."""
+    for n in (2, 3, 4, 7):
+        for tag in ("II", "III", "IV", "V", "VI"):
+            for seg in type_shape(tag, n).segments:
+                assert seg.a[0] == seg.b[0] or seg.a[1] == seg.b[1], seg
+
+
+def test_box_gate_keeps_the_first_tag(pool3, corpus4, rng):
+    """The gated tag test equals the first tag of the ungated predicates, on
+    free polygons at scales 3 and 4 and on their images under a random
+    map of classify's generators."""
+    cases = [(P, 3) for P in pool3] + [(P, 4) for P, _m, _t in corpus4]
+    for P, n in cases + [(transform(P, rng.choice(reference_generators(
+            P, n, 2))), n) for P, n in rng.sample(cases, 3000)]:
+        first = next(iter(polygon_types(P, n)), None)
+        assert _first_tag(P.vertices, P.bounding_box(), n) == first, (P, n)
