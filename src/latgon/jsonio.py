@@ -7,7 +7,8 @@ A value whose JSON is just its dataclass fields is written with
 and reduction traces (whose steps carry the lift-only shear "a").
 
 Decoders accept the same shapes and re-validate through the normal
-constructors, so a round trip always yields an equal value.  Every integer is
+constructors, so a round trip always yields an equal value; a trace must
+also replay to its result.  Every integer is
 read by one strict decoder: a float, string or bool raises ValueError rather
 than being truncated.
 """
@@ -17,7 +18,13 @@ from __future__ import annotations
 from .lattice import AffineMap, Lattice2, UnimodularMap, Vec, hnf_canonicalize
 from .polygon import LatticePolygon
 from .slope import Frame, SignedBasis, Slope
-from .typeclass import PolygonType, ReductionStep, ReductionTrace
+from .typeclass import (
+    InvariantViolation,
+    PolygonType,
+    ReductionStep,
+    ReductionTrace,
+    _check_trace,
+)
 
 
 def _int(v) -> int:
@@ -72,19 +79,30 @@ def encode_trace(t: ReductionTrace) -> dict:
 
 
 def decode_trace(obj: dict) -> ReductionTrace:
+    """A trace that replays: its result type is at the trace's scale and it
+    keeps every law that `_check_trace` checks, or ValueError naming the
+    law it breaks."""
     steps = tuple(
         ReductionStep(s["label"], decode_affine(s),
                       None if s.get("a") is None else _int(s["a"]))
         for s in obj["steps"]
     )
     rt = obj["result_type"]
-    return ReductionTrace(
+    trace = ReductionTrace(
         source=decode_polygon(obj["source"]),
         n=_int(obj["n"]),
         steps=steps,
         result=decode_polygon(obj["result"]),
         result_type=PolygonType(rt["tag"], _int(rt["n"])),
     )
+    if trace.result_type.n != trace.n:
+        raise ValueError(f"trace at scale {trace.n} has a result type at "
+                         f"scale {trace.result_type.n}")
+    try:
+        _check_trace(trace)
+    except InvariantViolation as exc:
+        raise ValueError(f"trace does not replay: {exc}") from None
+    return trace
 
 
 def _decode_basis(obj: dict) -> SignedBasis:

@@ -293,47 +293,53 @@ def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
     return _chord_within(P, origin, direction, False)
 
 
-def _points_of(P: LatticePolygon, L: Lattice2):
-    """Points of L inside or on the polygon, column by column (x, then y).
+def _scan(P: LatticePolygon, L: Lattice2, out: list[Vec] | None) -> bool:
+    """Append the points of L inside or on the polygon to `out`, column by
+    column (x, then y); with `out` None, stop at the first.  True iff the
+    scan stopped at a point.
 
     On each lattice column x = i*p the polygon is an exact interval
     [lo, hi], and the class y = i*q (mod r) is read off it.  The polygon is
     counterclockwise from vertices[0], its lexicographically least vertex,
-    so its lower chain runs east from there forwards and its upper chain
-    runs east from there backwards (past a vertical west edge).  Each column
-    takes the edge of either chain that spans it: lo is the ceiling of the
-    lower edge's height at x and hi the floor of the upper edge's, both by
-    integer floor division.  Columns go east, so each chain is walked once.
+    so its lower chain runs east from there forwards, up to the first vertex
+    that is not east of the one before, and its upper chain runs east from
+    there backwards (past a vertical west edge).  Each column takes the edge
+    of either chain that spans it: lo is the ceiling of the lower edge's
+    height at x and hi the floor of the upper edge's, both by integer floor
+    division.  Columns go east, so each chain is walked once.
     """
     vs = P.vertices
-    x_max = max(vs)[0]
     p, q, r = L.p, L.q, L.r
-    i = -(-vs[0][0] // p)  # first i with i*p >= x_min
-    x = i * p
-    (lax, lay), (lbx, lby) = vs[0], vs[1]
-    low = 1
+    lax, lay = vs[0]
+    i = -(-lax // p)  # first i with i*p >= x_min
+    x, iq = i * p, i * q
     up = -1 if vs[-1][0] == lax else 0
     (uax, uay), (ubx, uby) = vs[up], vs[up - 1]
-    while x <= x_max:
-        while lbx < x:
-            low += 1
-            lax, lay, (lbx, lby) = lbx, lby, vs[low]
-        while ubx < x:
-            up -= 1
-            uax, uay, (ubx, uby) = ubx, uby, vs[up - 1]
-        lo = lay - (lay - lby) * (x - lax) // (lbx - lax)
-        hi = uay + (uby - uay) * (x - uax) // (ubx - uax)
-        y = lo + (i * q - lo) % r  # first y >= lo in the class
-        while y <= hi:
-            yield (x, y)
-            y += r
-        i += 1
-        x += p
+    for lbx, lby in vs[1:]:
+        if lbx <= lax:
+            break
+        while x <= lbx:
+            while ubx < x:
+                up -= 1
+                uax, uay, (ubx, uby) = ubx, uby, vs[up - 1]
+            lo = lay - (lay - lby) * (x - lax) // (lbx - lax)
+            hi = uay + (uby - uay) * (x - uax) // (ubx - uax)
+            y = lo + (iq - lo) % r  # first y >= lo in the class
+            if y <= hi:
+                if out is None:
+                    return True
+                while y <= hi:
+                    out.append((x, y))
+                    y += r
+            x += p
+            iq += q
+        lax, lay = lbx, lby
+    return False
 
 
 def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
     """True iff no point of L lies in the polygon, boundary included."""
-    return next(_points_of(P, L), None) is None
+    return not _scan(P, L, None)
 
 
 def area2_and_pick(P: LatticePolygon) -> tuple[int, int, int]:
@@ -394,4 +400,6 @@ def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
 
 def lattice_points_in(P: LatticePolygon, L: Lattice2) -> list[Vec]:
     """All points of L inside or on the polygon, in scan order."""
-    return list(_points_of(P, L))
+    out: list[Vec] = []
+    _scan(P, L, out)
+    return out

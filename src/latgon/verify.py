@@ -9,20 +9,25 @@ polygons are emitted once per translation class.
 
 The moves from a point do not depend on the chain that reached it, only on
 the anchor.  So each anchor's search keeps a ray table: the first time a
-chain reaches a point, every ray from it is walked once (through the
-region, the fan-triangle freeness test, the closing test and the two
-angular cut-offs), and each row records the points that extend the chain
-and whether one more node is counted there and closes the polygon.  The
-depth-first search replays the rows, counting nodes and checking the budget
-where a walk would, so node counts, budget stops and the emitted stream are
-those of walking every ray afresh at every node.  The node where a ray
-stops without closing yields nothing, so the search counts each run of
-such stops in one step, together with the extension before the run when
-the chain cannot go on from it; a run that crosses the budget stops at the
-node that crosses it.  The search carries each chain's bounding box down
-with it, and a closed chain is tested for dedup on that box before it is
-built; only the polygons that pass are built as checked polygons and
-re-checked against the lattice.
+chain reaches a point, every ray from it whose first step stays in the
+region (the search lists those directions once per point) is walked once,
+through the region, the fan-triangle freeness test, the closing test and
+the two angular cut-offs, and each row records the points that extend the
+chain and whether one more node is counted there and closes the polygon.
+The moves from a state, a point and the direction that reached it, do not
+depend on the chain either.  So the first time a chain enters a state, its
+rows are compiled into an event program, kept in the table: each event
+counts a run of nodes and then descends to a point, closes at the anchor or
+ends the state.  A run merges the nodes that yield nothing before the
+descent or closing (the stops between rows and the extension points that
+no row can go on from) with the node that ends it.  The depth-first search
+replays the programs, checking the budget after each run, and a run that
+crosses the budget stops at the node that crosses it; so node counts,
+budget stops and the emitted stream are those of walking every ray afresh
+at every node.  The search carries each chain's bounding box down with it,
+and a closed chain is tested for dedup on that box before it is built, each
+box's verdict computed once per anchor; only the polygons that pass are
+built as checked polygons and re-checked against the lattice.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -207,13 +212,19 @@ def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
     sum to zero, so they are all >= 0 only on its line, and the bounding box
     clips that line to the covering segment.
     """
-    orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if orient < 0:
-        b, c = c, b
-    x_min = min(a[0], b[0], c[0])
-    x_max = max(a[0], b[0], c[0])
-    y_min = min(a[1], b[1], c[1])
-    y_max = max(a[1], b[1], c[1])
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
+        bx, by, cx, cy = cx, cy, bx, by
+    x_min, x_max = (bx, cx) if bx < cx else (cx, bx)
+    if ax < x_min:
+        x_min = ax
+    elif ax > x_max:
+        x_max = ax
+    y_min, y_max = (by, cy) if by < cy else (cy, by)
+    if ay < y_min:
+        y_min = ay
+    elif ay > y_max:
+        y_max = ay
     p, q, r = L.p, L.q, L.r
     i = -(-x_min // p)
     while i * p <= x_max:
@@ -221,9 +232,9 @@ def _triangle_has_point(L: Lattice2, a: Vec, b: Vec, c: Vec) -> bool:
         y0 = i * q
         y = y0 + -((y0 - y_min) // r) * r
         while y <= y_max:
-            if ((b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) >= 0
-                    and (c[0] - b[0]) * (y - b[1]) - (c[1] - b[1]) * (x - b[0]) >= 0
-                    and (a[0] - c[0]) * (y - c[1]) - (a[1] - c[1]) * (x - c[0]) >= 0):
+            if ((bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0
+                    and (cx - bx) * (y - by) - (cy - by) * (x - bx) >= 0
+                    and (ax - cx) * (y - cy) - (ay - cy) * (x - cx) >= 0):
                 return True
             y += r
         i += 1
@@ -280,6 +291,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     x_min, x_max = region.x_min, region.x_max
     y_min, y_max = region.y_min, region.y_max
     steps = _direction_steps(region, search.vertex_lattice)
+    first = _first_steps(region, search.vertex_lattice)
     halves = tuple(_dir_half(d) for d in steps)
     past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
     emit_min = max(3, search.min_vertices)
@@ -287,9 +299,11 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     # One tuple per region point, shared by every row that reaches it.
     shared = {p: p for p in region.points()}
     table: dict[Vec, tuple] = {}
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def rays(c: Vec) -> tuple:
-        """(js, rows, stops, top) for the rays from c that enter the region.
+        """(js, rows, stops, top, programs) for the rays from c that enter
+        the region.
 
         Along a ray the chain may extend to each point in turn (its
         extensions); after them the ray may end at one more point of the
@@ -300,12 +314,15 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         closes, has a row (j, k, extensions, closes), where k counts the
         stops before j; a last row, with j past every direction, counts the
         stops after them.  `js` holds the j of each row, and `top` the
-        largest j of a ray with a row (-1 if none).
+        largest j of a ray with a row (-1 if none).  `programs` maps each
+        direction index that c has been reached by to its event program.
         """
         rows, stops = [], []
-        for j, (dx, dy) in enumerate(steps):
-            px, py = c
-            nx, ny = px + dx, py + dy
+        cx, cy = c
+        for j in first[c]:
+            dx, dy = steps[j]
+            px, py = cx, cy
+            nx, ny = cx + dx, cy + dy
             ext: list[Vec] = []
             stop, closes = True, False
             while x_min <= nx <= x_max and y_min <= ny <= y_max:
@@ -331,7 +348,44 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 stops.append(j)
         top = rows[-1][0] if rows else -1
         rows.append((len(steps), len(stops), (), False))
-        return tuple(row[0] for row in rows), tuple(rows), tuple(stops), top
+        return tuple(row[0] for row in rows), tuple(rows), tuple(stops), top, {}
+
+    def program(entry: tuple, last: int) -> tuple:
+        """The event program of the state reached by direction index `last`
+        at a point with table entry `entry`, compiled and kept in the entry.
+
+        An event (count, nxt, j, sub) counts `count` nodes and then descends
+        to the point nxt, whose table entry is sub, by direction index j.
+        When sub is None, nxt is the anchor, which the event's last node
+        closes at, or None for the run of nodes after the last descent or
+        closing.  The nodes before a descent or closing yield nothing: the
+        stops between rows, a row's own stop among them, and each extension
+        point with no row past the direction that reaches it (a leaf), with
+        its stops.  So an event's count merges them with the node that ends
+        it.  A state that is descended into has a row past the direction,
+        so its program is not empty.
+        """
+        js, rows, stops, _top, programs = entry
+        events = []
+        done = bisect_right(stops, last)
+        run = 0
+        for j, k, ext, closes in rows[bisect_right(js, last):]:
+            run += k - done
+            done = k
+            for nxt in ext:
+                sub = table.get(nxt) or table.setdefault(nxt, rays(nxt))
+                if sub[3] > j:
+                    events.append((run + 1, nxt, j, sub))
+                    run = 0
+                else:
+                    run += 1 + len(sub[2]) - bisect_right(sub[2], j)
+            if closes:
+                events.append((run + 1, anchor, j, None))
+                run = 0
+        if run:
+            events.append((run, None, -1, None))
+        prog = programs[last] = tuple(events)
+        return prog
 
     def overrun(run: int) -> None:
         """The last `run` nodes counted, which yield nothing, took counter[0]
@@ -339,63 +393,52 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         counter[0] = max(counter[0] - run, budget) + 1
         raise BudgetExceededError(counter[0], counter[1])
 
-    def rec(last: int, moves: tuple, x_hi: int, y_lo: int,
+    def rec(prog: tuple, x_hi: int, y_lo: int,
             y_hi: int) -> Iterator[LatticePolygon]:
-        """The polygons that close a chain ending at a point with table entry
-        `moves`, reached by direction index `last`.
+        """Replay the event program `prog` of the state a chain ends in.
 
         The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
-        anchor, its least x.  The stops between rows, a row's own stop among
-        them, are counted as one run.  An extension point with no row past
-        the direction that reaches it is a leaf: its node and its stops are
-        one run too.
+        anchor, its least x.  A closed chain is tested for dedup on its box,
+        and each box's verdict is kept.
         """
-        js, rows, stops, _top = moves
-        done = bisect_right(stops, last)
-        for j, k, ext, closes in rows[bisect_right(js, last):]:
-            if k > done:
-                counter[0] += k - done
-                if counter[0] > budget:
-                    overrun(k - done)
-                done = k
-            for nxt in ext:
-                sub = table.get(nxt) or table.setdefault(nxt, rays(nxt))
-                if sub[3] > j:
-                    counter[0] += 1
-                    if counter[0] > budget:
-                        overrun(1)
-                    verts.append(nxt)
-                    nx, ny = nxt
-                    yield from rec(j, sub, nx if nx > x_hi else x_hi,
-                                   ny if ny < y_lo else y_lo,
-                                   ny if ny > y_hi else y_hi)
-                    verts.pop()
-                else:
-                    run = 1 + len(sub[2]) - bisect_right(sub[2], j)
-                    counter[0] += run
-                    if counter[0] > budget:
-                        overrun(run)
-            if closes:
-                counter[0] += 1
-                if counter[0] > budget:
-                    overrun(1)
-                if len(verts) >= emit_min:
-                    counter[1] += 1
-                    if avoid is None or not dedup or _is_canonical(
-                            (ax, x_hi, y_lo, y_hi), avoid, region):
-                        poly = LatticePolygon(tuple(verts))
-                        if avoid is not None and not is_free_of(poly, avoid):
-                            raise InvariantViolation(
-                                f"{poly.vertices} meets {avoid}")
-                        yield poly
+        for count, nxt, j, sub in prog:
+            counter[0] += count
+            if counter[0] > budget:
+                overrun(count)
+            if sub is not None:
+                verts.append(nxt)
+                nx, ny = nxt
+                yield from rec(sub[4].get(j) or program(sub, j),
+                               nx if nx > x_hi else x_hi,
+                               ny if ny < y_lo else y_lo,
+                               ny if ny > y_hi else y_hi)
+                verts.pop()
+            elif nxt is not None and len(verts) >= emit_min:
+                counter[1] += 1
+                if avoid is not None and dedup:
+                    box = (ax, x_hi, y_lo, y_hi)
+                    canonical = verdicts.get(box)
+                    if canonical is None:
+                        canonical = verdicts[box] = _is_canonical(
+                            box, avoid, region)
+                    if not canonical:
+                        continue
+                poly = LatticePolygon(tuple(verts))
+                if avoid is not None and not is_free_of(poly, avoid):
+                    raise InvariantViolation(f"{poly.vertices} meets {avoid}")
+                yield poly
 
-    # rec refers to itself, so its closure, table included, is a reference
-    # cycle: clearing the table frees the rows now, not at the next full
+    # rec refers to itself, and the programs refer to table entries that
+    # hold programs in turn, so both are reference cycles: clearing the
+    # programs and the table frees them now, not at the next full
     # collection, which keeps one anchor's table in memory at a time.
     try:
-        yield from rec(-1, rays(anchor), ax, ay, ay)
+        yield from rec(program(rays(anchor), -1), ax, ay, ay)
     finally:
+        for entry in table.values():
+            entry[4].clear()
         table.clear()
+        verdicts.clear()
 
 
 def _anchors(search: _Search) -> list[Vec]:
@@ -413,6 +456,21 @@ def _anchors(search: _Search) -> list[Vec]:
                 continue
             out.append((x, y))
     return out
+
+
+@lru_cache(maxsize=8)
+def _first_steps(region: SearchRegion, vertex_lattice: Lattice2 | None
+                 ) -> dict[Vec, tuple[int, ...]]:
+    """For each point of the region, in increasing order, the indices j of
+    the direction steps whose first step from it stays in the region.
+
+    Every anchor of a search reads the same lists; none writes to them.
+    """
+    steps = _direction_steps(region, vertex_lattice)
+    return {(x, y): tuple(j for j, (dx, dy) in enumerate(steps)
+                          if region.x_min <= x + dx <= region.x_max
+                          and region.y_min <= y + dy <= region.y_max)
+            for x, y in region.points()}
 
 
 def _direction_steps(region: SearchRegion,

@@ -97,6 +97,20 @@ def test_decode_trace_rejects_a_pentagram():
         decode_trace(json.loads(PENTAGRAM_TRACE))
 
 
+def test_decode_trace_names_the_broken_law():
+    with pytest.raises(ValueError, match="translate is not an automorphism"):
+        decode_trace(json.loads(
+            LIFT_TRACE.replace('"shift":[3,0]', '"shift":[5,0]')))
+    with pytest.raises(ValueError, match="result type at scale 4"):
+        decode_trace(json.loads(
+            TRIANGLE_TRACE.replace('"result_type":{"n":3,',
+                                   '"result_type":{"n":4,')))
+    with pytest.raises(ValueError, match="source is not free"):
+        decode_trace({"n": 3, "source": {"vertices": [[0, 0], [3, 0], [0, 3]]},
+                      "result": {"vertices": [[0, 0], [3, 0], [0, 3]]},
+                      "result_type": {"n": 3, "tag": "I"}, "steps": []})
+
+
 def test_reduce_explicit_kind_mismatch(capsys):
     code, out, err = run_cli(
         capsys, "reduce", "--n", "3", "--kind", "VI",
@@ -375,6 +389,14 @@ def test_polygon_not_free_is_input_error(capsys):
          "--region=-3,3,-3,3"),
         ("verify-reductions", "--n", "3", "--workers", "0",
          "--region=-2,4,-2,1"),
+        # traces that do not replay: a translation off 3Z^2, and a source
+        # that meets 3Z^2 with a result type at another scale
+        ("render", "--trace", LIFT_TRACE.replace('"shift":[3,0]',
+                                                 '"shift":[5,0]')),
+        ("render", "--trace",
+         '{"n":3,"source":{"vertices":[[0,0],[3,0],[0,3]]},'
+         '"result":{"vertices":[[0,0],[3,0],[0,3]]},'
+         '"result_type":{"n":4,"tag":"VI"},"steps":[]}'),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -38,6 +38,7 @@ from latgon import (
     type_predicate,
     verify_reduction_corpus,
 )
+from latgon import verify
 from latgon.verify import (
     _anchors,
     _dir_half,
@@ -262,6 +263,10 @@ REFERENCE_SEARCHES = {
                                scaled_lattice(3), True, None),
     "2Z2-tagged": _Search(SearchRegion(-3, 3, -2, 2), 3, scaled_lattice(2),
                           False, None),
+    # A sheared lattice: here a translate's fit, so the dedup verdict,
+    # depends on the box's height, not only on its corner and width.
+    "sheared-dedup": _Search(SearchRegion(-2, 3, -2, 3), 3,
+                             _lattice_family(1, 3)[1], True, None),
 }
 REFERENCE_SEARCHES.update(
     (f"factors-1-3-residue-{r}",
@@ -332,17 +337,51 @@ def test_enumerator_budget_window_matches_per_node_walk(name):
 
 
 def test_enumerator_budget_stop_in_first_run():
-    """A search whose first three nodes are counted as one run: every stop
-    in it, under a negative budget too, is the per-node walk's."""
+    """A search whose first four nodes are counted as one run, ended by a
+    descent: every stop in it and just past it, under a negative budget
+    too, is the per-node walk's."""
     search = REFERENCE_SEARCHES["factors-1-3-residue-1"]
     log = _CountLog()
     list(_iter_from_anchor(_anchors(search)[0], search, log, 10 ** 9))
-    assert log.node_steps[0] == (0, 3)
-    for budget in (-3, -1, 0, 1, 2, 3):
+    assert log.node_steps[0] == (0, 4)
+    for budget in range(-3, 5):
         got = _under_budget(_iter_from_anchor, search, budget)
         assert got == _under_budget(reference_iter_from_anchor, search,
                                     budget), budget
         assert got[1] == (max(budget, 0) + 1, 0)
+
+
+def test_enumerator_recheck_fires(monkeypatch):
+    """Each emitted polygon is re-checked against the lattice, so a
+    fan-triangle test that never finds a point is caught, also with asserts
+    off."""
+    monkeypatch.setattr(verify, "_triangle_has_point",
+                        lambda L, a, b, c: False)
+    search = REFERENCE_SEARCHES["3Z2-dedup-small"]
+    with pytest.raises(InvariantViolation, match=r"\) meets Lattice2"):
+        for anchor in _anchors(search):
+            list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9))
+    code = "\n".join([
+        "import sys",
+        "import latgon.verify as verify",
+        "from latgon import InvariantViolation, SearchRegion, scaled_lattice",
+        "verify._triangle_has_point = lambda L, a, b, c: False",
+        "search = verify._Search(SearchRegion(-2, 2, -2, 2), 3,",
+        "                        scaled_lattice(3), True, None)",
+        "try:",
+        "    for anchor in verify._anchors(search):",
+        "        list(verify._iter_from_anchor(anchor, search, [0, 0], 10**9))",
+        "except InvariantViolation as exc:",
+        "    print(sys.flags.optimize, exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(sys.modules["latgon"].__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 ((")
+    assert ") meets Lattice2" in proc.stdout
 
 
 def _cross(o, a, b):
