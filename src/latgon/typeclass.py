@@ -169,9 +169,11 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
     """Does the polygon have the given position type at scale n?
 
     A polygon that is not free of nZ^2 has no type (False for every tag).
-    The tagged vertex-bound campaigns skip this freeness test and call the
-    tag's entry of _PREDICATES directly: their enumerator has already
-    re-checked every polygon it emits against nZ^2.
+    The tagged vertex-bound campaigns and the reduction corpus skip this
+    freeness test: their enumerator has already re-checked every polygon it
+    emits against nZ^2, so the former call the tag's entry of _PREDICATES
+    directly and the latter classifies through _classify_core, whose box
+    gate runs those entries only where the box can hold the type.
     """
     if n < 2:
         raise ValueError(f"type scale must be at least 2, got {n}")
@@ -425,6 +427,10 @@ PIPELINES = {"V": reduce_type_v, "VI": reduce_type_vi, "IV": reduce_type_iv}
 # (x, y) -> (a*x + b*y + sx, c*x + d*y + sy).  Only the returned state is
 # built as an AffineMap and a PolygonType.
 
+#: classify's default search bound and state limit.
+_SEARCH_BOUND = 6
+_STATE_LIMIT = 20000
+
 _SIGNED_PERMS = (
     (0, 1, 1, 0, 0, 0),
     (0, -1, 1, 0, 0, 0),
@@ -488,20 +494,44 @@ def _images(P: LatticePolygon, n: int, bound: int):
 
 
 @lru_cache(maxsize=64)
-def _segment_gates(n: int) -> tuple[tuple[str, int, int, int, int], ...]:
-    """(tag, x_lo, x_hi, y_lo, y_hi) for the types II to VI at scale n.
+def _box_gates(n: int) -> tuple[tuple, ...]:
+    """(tag, x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min,
+    north_max) for the types II to VI at scale n, the bounds a polygon's box
+    (west, east, south, north) must keep to have the type.
 
     Every `type_shape` segment lies on a line x = c or y = c, and a segment
-    on y = c splits P only if south < c < north (likewise for x = c).  So a
-    polygon can have the type only when west < x_lo, x_hi < east,
-    south < y_lo and y_hi < north, the bounds of the lines of its segments.
+    on y = c splits P only if south < c < north (likewise for x = c).  So
+    the box needs west < x_lo, x_hi < east, south < y_lo and y_hi < north,
+    the bounds of the lines of its segments.  Past them, east > c for every
+    c <= x_lo, so an `unsplit` line x = c there is not straddled only when
+    west >= c; for c >= x_hi, only when east <= c.  An `unmet` line x = c
+    needs the strict form, west > c or east < c, which on integers is
+    west >= c + 1 or east <= c - 1.  Lines y = c bound south and north the
+    same way.  A bound that no line sets is None.
     """
     gates = []
     for tag in ("II", "III", "IV", "V", "VI"):
-        segs = type_shape(tag, n).segments
-        xs = [s.a[0] for s in segs if s.a[1] != s.b[1]]
-        ys = [s.a[1] for s in segs if s.a[1] == s.b[1]]
-        gates.append((tag, min(xs), max(xs), min(ys), max(ys)))
+        shape = type_shape(tag, n)
+        xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
+        ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
+        west_min, east_max, south_min, north_max = [], [], [], []
+        for lines, strict in ((shape.unsplit, 0), (shape.unmet, 1)):
+            for a, b, c in lines:
+                if (a, b) not in ((1, 0), (0, 1)):
+                    raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
+                seg_lines, lo, hi = ((xs, west_min, east_max) if a else
+                                     (ys, south_min, north_max))
+                if c <= min(seg_lines):
+                    lo.append(c + strict)
+                elif c >= max(seg_lines):
+                    hi.append(c - strict)
+                else:
+                    raise ValueError(
+                        f"type {tag}'s segments straddle its line {(a, b, c)}")
+        gates.append((tag, min(xs), max(xs), min(ys), max(ys),
+                      max(west_min, default=None), min(east_max, default=None),
+                      max(south_min, default=None),
+                      min(north_max, default=None)))
     return tuple(gates)
 
 
@@ -511,15 +541,20 @@ def _first_tag(vs: tuple[Vec, ...], box: tuple[int, int, int, int],
     `vs` and bounding box `box`, or None.
 
     I is read off the box; each other tag's predicate runs only when the box
-    allows the type: II to VI by _segment_gates, Va when west >= 0 and
+    can hold the type: II to VI by _box_gates, Va when west >= 0 and
     south >= 0.
     """
     if _box_is_i(box, n):
         return "I"
     west, east, south, north = box
     P = _trusted(vs)
-    for tag, x_lo, x_hi, y_lo, y_hi in _segment_gates(n):
+    for (tag, x_lo, x_hi, y_lo, y_hi,
+         west_min, east_max, south_min, north_max) in _box_gates(n):
         if (west < x_lo and x_hi < east and south < y_lo and y_hi < north
+                and (west_min is None or west >= west_min)
+                and (east_max is None or east <= east_max)
+                and (south_min is None or south >= south_min)
+                and (north_max is None or north <= north_max)
                 and _PREDICATES[tag](P, n)):
             return tag
     if west >= 0 and south >= 0 and _PREDICATES["Va"](P, n):
@@ -527,8 +562,32 @@ def _first_tag(vs: tuple[Vec, ...], box: tuple[int, int, int, int],
     return None
 
 
-def classify(P: LatticePolygon, n: int, search_bound: int = 6,
-             state_limit: int = 20000) -> tuple[AffineMap, PolygonType]:
+def _classify_core(P: LatticePolygon, n: int,
+                   search_bound: int = _SEARCH_BOUND,
+                   state_limit: int = _STATE_LIMIT
+                   ) -> tuple[str, tuple[Vec, ...], tuple[int, ...]]:
+    """(tag, image vertices, integer map) of the first state of classify's
+    search that has a type, for a polygon the caller knows is free of nZ^2.
+
+    The map (a, b, c, d, sx, sy) is (x, y) -> (a*x + b*y + sx,
+    c*x + d*y + sy), and the vertices are the image's, in canonical order.
+    Raises RuntimeError as classify does.
+    """
+    for tested, (vs, box, m) in enumerate(_images(P, n, search_bound), 1):
+        if tested > state_limit:
+            raise RuntimeError(
+                f"classification state limit {state_limit} exceeded"
+            )
+        tag = _first_tag(vs, box, n)
+        if tag is not None:
+            return tag, vs, m
+    raise RuntimeError(
+        f"no position type reachable within bound {search_bound}"
+    )
+
+
+def classify(P: LatticePolygon, n: int, search_bound: int = _SEARCH_BOUND,
+             state_limit: int = _STATE_LIMIT) -> tuple[AffineMap, PolygonType]:
     """Find an nZ^2-automorphism carrying P into some position type.
 
     Breadth-first search over compositions of a fixed generator family
@@ -543,16 +602,7 @@ def classify(P: LatticePolygon, n: int, search_bound: int = 6,
         raise ValueError(f"type scale must be at least 2, got {n}")
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
-    for tested, (vs, box, m) in enumerate(_images(P, n, search_bound), 1):
-        if tested > state_limit:
-            raise RuntimeError(
-                f"classification state limit {state_limit} exceeded"
-            )
-        tag = _first_tag(vs, box, n)
-        if tag is not None:
-            a, b, c, d, sx, sy = m
-            return (AffineMap(UnimodularMap(((a, b), (c, d))), (sx, sy)),
-                    PolygonType(tag, n))
-    raise RuntimeError(
-        f"no position type reachable within bound {search_bound}"
-    )
+    tag, _vs, (a, b, c, d, sx, sy) = _classify_core(P, n, search_bound,
+                                                    state_limit)
+    return (AffineMap(UnimodularMap(((a, b), (c, d))), (sx, sy)),
+            PolygonType(tag, n))

@@ -11,9 +11,13 @@ The moves from a point do not depend on the chain that reached it, only on
 the anchor.  So each anchor's search keeps a ray table: the first time a
 chain reaches a point, every ray from it whose first step stays in the
 region (the search lists those directions once per point) is walked once,
-through the region, the fan-triangle freeness test, the closing test and
-the two angular cut-offs, and each row records the points that extend the
-chain and whether one more node is counted there and closes the polygon.
+through the region, the two angular cut-offs (which cannot cut at the
+anchor itself), the fan-triangle freeness test and the closing test, and
+each row records the points that extend the chain and whether one more
+node is counted there and closes the polygon.  The cut-offs come first
+because each costs one comparison; the order does not change the rows,
+since a step that any of the three tests rejects is a stop, whichever
+test rejects it.
 The moves from a state, a point and the direction that reached it, do not
 depend on the chain either.  So the first time a chain enters a state, its
 rows are compiled into an event program, kept in the table: each event
@@ -56,13 +60,13 @@ from .lattice import (
     scaled_lattice,
     shear_lattice,
 )
-from .polygon import LatticePolygon, is_free_of, lattice_points_in, transform
+from .polygon import LatticePolygon, _trusted, is_free_of, lattice_points_in
 from .typeclass import (
     _PREDICATES,
     PIPELINES,
     InvariantViolation,
     PolygonType,
-    classify,
+    _classify_core,
     type_predicate,
 )
 
@@ -326,15 +330,16 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
             ext: list[Vec] = []
             stop, closes = True, False
             while x_min <= nx <= x_max and y_min <= ny <= y_max:
+                if halves[j] and nx < ax:
+                    break
+                at_anchor = nx == ax and ny == ay
+                if past_pi[j] and ny <= ay and not at_anchor:
+                    break
                 if avoid is not None and _triangle_has_point(
                         avoid, anchor, (px, py), (nx, ny)):
                     break
-                if nx == ax and ny == ay:
+                if at_anchor:
                     stop, closes = False, True
-                    break
-                if halves[j] and nx < ax:
-                    break
-                if past_pi[j] and ny <= ay:
                     break
                 ext.append(shared[nx, ny])
                 px, py = nx, ny
@@ -731,12 +736,39 @@ def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
     return None
 
 
+# Bounded, so a corpus larger than any of the acceptance campaigns keeps a
+# flat memory footprint; criterion 8's region meets 10,031 distinct images.
+@lru_cache(maxsize=1 << 14)
+def _reduces(tag: str, vs: tuple[Vec, ...], n: int) -> bool:
+    """Does the pipeline of `tag` reduce the polygon with canonical vertices
+    `vs` at scale n, every check of its trace holding?
+
+    The pipeline is a pure function of its input, so each distinct
+    classified image is reduced once per campaign and its outcome shared.
+    """
+    try:
+        PIPELINES[tag](_trusted(vs), n)
+    except (RuntimeError, InvariantViolation):
+        return False
+    return True
+
+
 def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
                    n: int):
     """Classify each polygon and run its reduction pipeline.
 
+    The search avoids nZ^2, checked once up front, and the enumerator has
+    re-checked every polygon it emits against that lattice; so each polygon
+    goes to classify's search core without classify's own freeness test,
+    and only its classified image, not the map, is kept.  Each distinct
+    image of type V, VI or IV is reduced once, through _reduces, and every
+    polygon classified to it gets that outcome.
+
     Returns the tally, the polygons that failed, and the largest size seen.
     """
+    if search.avoid != scaled_lattice(n):
+        raise InvariantViolation(
+            f"the reduction corpus avoids {search.avoid}, not {n}Z^2")
     tally: Counter[str] = Counter()
     failures: list[LatticePolygon] = []
     max_found = 0
@@ -744,13 +776,16 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
         tally["total"] += 1
         max_found = max(max_found, len(poly))
         try:
-            m, ptype = classify(poly, n)
-            tally[ptype.tag] += 1
-            if ptype.tag in PIPELINES:
-                PIPELINES[ptype.tag](transform(poly, m), n)
-                tally["reduced_" + ptype.tag.lower()] += 1
-        except (RuntimeError, InvariantViolation):
+            tag, vs, _m = _classify_core(poly, n)
+        except RuntimeError:
             failures.append(poly)
+            continue
+        tally[tag] += 1
+        if tag in PIPELINES:
+            if _reduces(tag, vs, n):
+                tally["reduced_" + tag.lower()] += 1
+            else:
+                failures.append(poly)
     return tally, failures, max_found
 
 
@@ -762,12 +797,17 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     Every enumerated polygon must classify within the default search bound;
     whenever the classification lands on type V or VI (or the terminal IV),
     the classified image is pushed through its reduction pipeline, whose own
-    checks re-verify each result (also under -O).  A polygon whose
-    classification or pipeline fails is a counterexample.  Returns the report
-    plus a tally of classified tags and pipeline runs.
+    checks re-verify each result (also under -O).  Each distinct image is
+    reduced once and its outcome shared by every polygon classified to it;
+    the cache that holds those outcomes is cleared here, before any pool
+    worker starts, so a campaign never reads an outcome computed before it
+    began.  A polygon whose classification or pipeline fails is a
+    counterexample.  Returns the report plus a tally of classified tags and
+    pipeline runs.
     """
     if n not in (3, 4):
         raise ValueError(f"the reduction corpus runs at desk scale (3 or 4), got {n}")
+    _reduces.cache_clear()
     search = _Search(region, 3, scaled_lattice(n), True, None)
     tally = dict.fromkeys(("I", "II", "III", "IV", "V", "VI", "Va", "total",
                            "reduced_v", "reduced_vi", "reduced_iv"), 0)

@@ -326,8 +326,9 @@ def test_render_to_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("render",),
-        ("render", "--polygon", "[[0,1],[1,0],[1,1]]", "--trace", "{}"),
+        pytest.param(("render",), id="argv0"),  # neither input
+        pytest.param(("render", "--polygon", "[[0,1],[1,0],[1,1]]",
+                      "--trace", "{}"), id="argv1"),  # both inputs
     ],
 )
 def test_render_needs_exactly_one_input(capsys, argv):
@@ -358,45 +359,77 @@ def test_polygon_not_free_is_input_error(capsys):
     assert "not free" in err
 
 
+# Each case names its id, so that a case inserted anywhere renames no other.
+# The ids argv0 to argv20 are those the cases had when pytest numbered them
+# by position, which lists of test names refer to; a new case takes a name
+# that says what it tests.
 @pytest.mark.parametrize(
     "argv",
     [
-        ("frobnicate",),
-        ("classify", "--n", "3"),                      # missing --polygon
-        ("enumerate", "--region", "0,3,3"),            # bad region string
-        ("verify-main", "--delta", "1", "--n", "2",
-         "--region", "0,3,0,3", "--preset", "square-n2"),  # mutually exclusive
-        ("verify-main", "--delta", "2", "--n", "3",
-         "--region", "0,3,0,3"),                       # delta does not divide n
+        pytest.param(("frobnicate",), id="argv0"),
+        pytest.param(("classify", "--n", "3"),  # missing --polygon
+                     id="argv1"),
+        pytest.param(("enumerate", "--region", "0,3,3"),  # bad region string
+                     id="argv2"),
+        pytest.param(("verify-main", "--delta", "1", "--n", "2",
+                      "--region", "0,3,0,3", "--preset", "square-n2"),
+                     id="argv3"),  # mutually exclusive
+        pytest.param(("verify-main", "--delta", "2", "--n", "3",
+                      "--region", "0,3,0,3"),
+                     id="argv4"),  # delta does not divide n
         # JSON coordinates, basis entries and scales must be integers
-        ("classify", "--n", "3", "--polygon", "[[1.9,1],[2,1],[2,2],[1,2]]"),
-        ("classify", "--n", "3", "--polygon", '[["1",1],[2,1],[2,2],[1,2]]'),
-        ("classify", "--n", "3", "--polygon", "[[true,1],[2,1],[2,2],[1,2]]"),
-        ("enumerate", "--region", "0,3,0,3",
-         "--avoid", '{"basis":[[2.5,0],[0,2]]}'),
-        ("slope-check", "--slope", '{"basis":{"f1":[1,0],"f2":[0,1]},'
-                                   '"vertices":[[0,3],[1,1],[3.9,0]]}'),
-        ("render", "--trace", TRIANGLE_TRACE.replace('{"n":3,', '{"n":3.0,')),
-        ("render", "--trace", LIFT_TRACE.replace('"a":1,', '"a":1.5,')),
-        ("render", "--trace", PENTAGRAM_TRACE),        # not a polygon
+        pytest.param(("classify", "--n", "3",
+                      "--polygon", "[[1.9,1],[2,1],[2,2],[1,2]]"),
+                     id="argv5"),
+        pytest.param(("classify", "--n", "3",
+                      "--polygon", '[["1",1],[2,1],[2,2],[1,2]]'),
+                     id="argv6"),
+        pytest.param(("classify", "--n", "3",
+                      "--polygon", "[[true,1],[2,1],[2,2],[1,2]]"),
+                     id="argv7"),
+        pytest.param(("enumerate", "--region", "0,3,0,3",
+                      "--avoid", '{"basis":[[2.5,0],[0,2]]}'),
+                     id="argv8"),
+        pytest.param(("slope-check",
+                      "--slope", '{"basis":{"f1":[1,0],"f2":[0,1]},'
+                                 '"vertices":[[0,3],[1,1],[3.9,0]]}'),
+                     id="argv9"),
+        pytest.param(("render", "--trace",
+                      TRIANGLE_TRACE.replace('{"n":3,', '{"n":3.0,')),
+                     id="argv10"),
+        pytest.param(("render", "--trace",
+                      LIFT_TRACE.replace('"a":1,', '"a":1.5,')),
+                     id="argv11"),
+        pytest.param(("render", "--trace", PENTAGRAM_TRACE),  # not a polygon
+                     id="argv12"),
         # node budgets are at least 0, worker counts at least 1
-        ("verify-bound", "--n", "3", "--budget", "-5", "--region=-3,3,-3,3"),
-        ("witness", "--delta", "1", "--n", "3", "--region=-3,3,-3,3",
-         "--budget", "-1"),
-        ("enumerate", "--region", "0,3,0,3", "--budget", "-1"),
-        ("verify-bound", "--n", "3", "--workers", "0", "--region=-3,3,-3,3"),
-        ("verify-main", "--delta", "1", "--n", "3", "--workers", "-4",
-         "--region=-3,3,-3,3"),
-        ("verify-reductions", "--n", "3", "--workers", "0",
-         "--region=-2,4,-2,1"),
+        pytest.param(("verify-bound", "--n", "3", "--budget", "-5",
+                      "--region=-3,3,-3,3"),
+                     id="argv13"),
+        pytest.param(("witness", "--delta", "1", "--n", "3",
+                      "--region=-3,3,-3,3", "--budget", "-1"),
+                     id="argv14"),
+        pytest.param(("enumerate", "--region", "0,3,0,3", "--budget", "-1"),
+                     id="argv15"),
+        pytest.param(("verify-bound", "--n", "3", "--workers", "0",
+                      "--region=-3,3,-3,3"),
+                     id="argv16"),
+        pytest.param(("verify-main", "--delta", "1", "--n", "3",
+                      "--workers", "-4", "--region=-3,3,-3,3"),
+                     id="argv17"),
+        pytest.param(("verify-reductions", "--n", "3", "--workers", "0",
+                      "--region=-2,4,-2,1"),
+                     id="argv18"),
         # traces that do not replay: a translation off 3Z^2, and a source
         # that meets 3Z^2 with a result type at another scale
-        ("render", "--trace", LIFT_TRACE.replace('"shift":[3,0]',
-                                                 '"shift":[5,0]')),
-        ("render", "--trace",
-         '{"n":3,"source":{"vertices":[[0,0],[3,0],[0,3]]},'
-         '"result":{"vertices":[[0,0],[3,0],[0,3]]},'
-         '"result_type":{"n":4,"tag":"VI"},"steps":[]}'),
+        pytest.param(("render", "--trace",
+                      LIFT_TRACE.replace('"shift":[3,0]', '"shift":[5,0]')),
+                     id="argv19"),
+        pytest.param(("render", "--trace",
+                      '{"n":3,"source":{"vertices":[[0,0],[3,0],[0,3]]},'
+                      '"result":{"vertices":[[0,0],[3,0],[0,3]]},'
+                      '"result_type":{"n":4,"tag":"VI"},"steps":[]}'),
+                     id="argv20"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

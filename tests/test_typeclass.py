@@ -38,6 +38,7 @@ from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
     _PREDICATES,
+    _box_gates,
     _first_tag,
     _west_split_limit,
     type_shape,
@@ -749,19 +750,69 @@ def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
 
 
 def test_type_shape_segments_are_axis_parallel():
-    """classify's box gate reads each segment's line as x = c or y = c."""
+    """classify's box gate reads each segment's line, and each unsplit or
+    unmet line, as x = c or y = c."""
     for n in (2, 3, 4, 7):
         for tag in ("II", "III", "IV", "V", "VI"):
-            for seg in type_shape(tag, n).segments:
+            shape = type_shape(tag, n)
+            for seg in shape.segments:
                 assert seg.a[0] == seg.b[0] or seg.a[1] == seg.b[1], seg
+            for a, b, _c in shape.unsplit + shape.unmet:
+                assert (a, b) in ((1, 0), (0, 1))
+
+
+# (x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min, north_max), read off
+# type_shape by hand: II's square [0,n]^2 bounds only from inside; III's
+# unsplit x = 0 gives west >= 0; IV's unmet x = -n and x = 2n give
+# west >= 1-n and east <= 2n-1; V's unsplit x = -n and y = n give west >= -n
+# and north <= n; VI's unsplit x = -n and x = n give west >= -n, east <= n.
+BOX_GATES = {
+    3: {"II": (0, 3, 0, 3, None, None, None, None),
+        "III": (3, 3, 0, 3, 0, None, None, None),
+        "IV": (0, 3, 0, 3, -2, 5, None, None),
+        "V": (0, 0, 0, 0, -3, None, None, 3),
+        "VI": (0, 0, 0, 3, -3, 3, None, None)},
+    4: {"II": (0, 4, 0, 4, None, None, None, None),
+        "III": (4, 4, 0, 4, 0, None, None, None),
+        "IV": (0, 4, 0, 4, -3, 7, None, None),
+        "V": (0, 0, 0, 0, -4, None, None, 4),
+        "VI": (0, 0, 0, 4, -4, 4, None, None)},
+    6: {"II": (0, 6, 0, 6, None, None, None, None),
+        "III": (6, 6, 0, 6, 0, None, None, None),
+        "IV": (0, 6, 0, 6, -5, 11, None, None),
+        "V": (0, 0, 0, 0, -6, None, None, 6),
+        "VI": (0, 0, 0, 6, -6, 6, None, None)},
+}
+
+
+@pytest.mark.parametrize("n", sorted(BOX_GATES))
+def test_box_gates_match_hand_worked_bounds(n):
+    gates = _box_gates(n)
+    assert [g[0] for g in gates] == ["II", "III", "IV", "V", "VI"]
+    assert {g[0]: g[1:] for g in gates} == BOX_GATES[n]
+
+
+def criterion_8_sample(seed=8, rate=0.02):
+    """A seeded sample of the 3Z^2-free polygons of criterion 8's region,
+    [-3,6]^2, drawn from the stream without keeping the whole corpus."""
+    sample = random.Random(seed)
+    return [P for P in enumerate_convex_polygons(
+        SearchRegion(-3, 6, -3, 6), avoid=scaled_lattice(3))
+        if sample.random() < rate]
 
 
 def test_box_gate_keeps_the_first_tag(pool3, corpus4, rng):
     """The gated tag test equals the first tag of the ungated predicates, on
-    free polygons at scales 3 and 4 and on their images under a random
-    map of classify's generators."""
-    cases = [(P, 3) for P in pool3] + [(P, 4) for P, _m, _t in corpus4]
-    for P, n in cases + [(transform(P, rng.choice(reference_generators(
-            P, n, 2))), n) for P, n in rng.sample(cases, 3000)]:
+    free polygons at scales 3 and 4, on a sample of criterion 8's region,
+    and on their images under one or two random maps of classify's
+    generators."""
+    cases = ([(P, 3) for P in pool3] + [(P, 4) for P, _m, _t in corpus4]
+             + [(P, 3) for P in criterion_8_sample()])
+    images = []
+    for P, n in rng.sample(cases, 6000):
+        for _ in range(rng.choice((1, 2))):
+            P = transform(P, rng.choice(reference_generators(P, n, 2)))
+        images.append((P, n))
+    for P, n in cases + images:
         first = next(iter(polygon_types(P, n)), None)
         assert _first_tag(P.vertices, P.bounding_box(), n) == first, (P, n)

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -39,14 +40,17 @@ from latgon import (
     verify_reduction_corpus,
 )
 from latgon import verify
+from latgon.typeclass import PIPELINES, _classify_core
 from latgon.verify import (
     _anchors,
+    _corpus_kernel,
     _dir_half,
     _direction_steps,
     _is_canonical,
     _iter_from_anchor,
     _lattice_family,
     _max_kernel,
+    _reduces,
     _Search,
     _triangle_has_point,
 )
@@ -662,6 +666,85 @@ def test_corpus_counts_broken_pipelines_under_optimize():
     assert out["failed"] > 0
     assert out["failed"] == (tally["V"] + tally["VI"]
                              - tally["reduced_v"] - tally["reduced_vi"])
+
+
+CORPUS_REGION = SearchRegion(-2, 4, -1, 1)
+
+
+@pytest.fixture(scope="module")
+def corpus_images():
+    """The 3Z^2-free polygons of CORPUS_REGION in campaign order, each with
+    its classified (tag, image vertices)."""
+    return [(P, _classify_core(P, 3)[:2]) for P in enumerate_convex_polygons(
+        CORPUS_REGION, avoid=scaled_lattice(3))]
+
+
+def fail_on_one_v_image(corpus_images, monkeypatch):
+    """Patch PIPELINES["V"] to fail on one V image that several polygons
+    classify to; return that image and the pipeline's calls per image."""
+    shared = Counter(image for _P, image in corpus_images)
+    chosen = min(image for image, k in shared.items()
+                 if image[0] == "V" and k > 1)
+    real_v, calls = PIPELINES["V"], Counter()
+
+    def failing_v(P, n):
+        calls[P.vertices] += 1
+        if ("V", P.vertices) == chosen:
+            raise InvariantViolation("the chosen image fails")
+        return real_v(P, n)
+
+    monkeypatch.setitem(PIPELINES, "V", failing_v)
+    return chosen, calls
+
+
+def test_corpus_reduces_each_image_once(corpus_images, monkeypatch):
+    """Every polygon classified to the failing image is a counterexample, and
+    no other polygon; each V image runs its pipeline once."""
+    chosen, calls = fail_on_one_v_image(corpus_images, monkeypatch)
+    report, tally = verify_reduction_corpus(3, CORPUS_REGION)
+    expected = tuple(P for P, image in corpus_images if image == chosen)
+    assert len(expected) > 1
+    assert report.counterexamples == expected
+    assert tally["reduced_v"] == tally["V"] - len(expected)
+    v_images = {image[1] for _P, image in corpus_images if image[0] == "V"}
+    assert calls == Counter(dict.fromkeys(v_images, 1))
+    assert len(v_images) < tally["V"]
+
+
+def test_corpus_warm_cache_gives_the_cold_outcome(corpus_images,
+                                                  monkeypatch):
+    """The polygons fed again to the kernel after a campaign, every image a
+    cache hit, give the campaign's tally and counterexamples."""
+    fail_on_one_v_image(corpus_images, monkeypatch)
+    report, tally = verify_reduction_corpus(3, CORPUS_REGION)
+    misses = _reduces.cache_info().misses
+    search = _Search(CORPUS_REGION, 3, scaled_lattice(3), True, None)
+    warm_tally, warm_failures, _ = _corpus_kernel(
+        (P for P, _image in corpus_images), search, 3)
+    assert _reduces.cache_info().misses == misses
+    assert tuple(warm_failures) == report.counterexamples != ()
+    assert warm_tally == Counter({k: v for k, v in tally.items() if v})
+
+
+def test_corpus_campaign_starts_from_an_empty_cache(corpus_images,
+                                                    monkeypatch):
+    """A campaign reads no outcome of the one before it: a failure shows
+    after a clean run, and a clean run after the failing one is clean."""
+    clean_report, clean_tally = verify_reduction_corpus(3, CORPUS_REGION)
+    assert clean_report.counterexamples == ()
+    fail_on_one_v_image(corpus_images, monkeypatch)
+    patched_report, _tally = verify_reduction_corpus(3, CORPUS_REGION)
+    assert patched_report.counterexamples != ()
+    monkeypatch.undo()
+    assert verify_reduction_corpus(3, CORPUS_REGION) == (clean_report,
+                                                          clean_tally)
+
+
+def test_corpus_kernel_refuses_search_off_scaled_lattice():
+    region = SearchRegion(-2, 2, -2, 2)
+    for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
+        with pytest.raises(InvariantViolation, match="reduction corpus"):
+            _corpus_kernel(iter(()), _Search(region, 3, avoid, True, None), 3)
 
 
 def test_verify_reduction_corpus_validation():
