@@ -34,7 +34,10 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for tag, (n, vertices) in EXAMPLES.items():
         P = from_points(vertices)
-        assert type_predicate(P, n, tag), f"example for {tag} went stale"
+        if not type_predicate(P, n, tag):
+            print(f"example for {tag} went stale: {P} is not of type {tag} "
+                  f"at n = {n}", file=sys.stderr)
+            return 1
         svg = render_polygon_svg(P, n=n, tag=tag, lattice=scaled_lattice(n))
         path = out_dir / f"type-{tag.lower()}-n{n}.svg"
         path.write_text(svg, encoding="utf-8")

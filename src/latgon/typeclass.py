@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .lattice import (  # InvariantViolation is re-exported from here
     AffineMap, InvariantViolation, UnimodularMap, Vec, scaled_lattice)
@@ -26,7 +26,6 @@ from .polygon import (
     _image,
     _trusted,
     is_free_of,
-    meets_line,
     splits_by_line,
     splits_by_segment,
     transform,
@@ -83,10 +82,6 @@ def _box_is_i(box: tuple[int, int, int, int], n: int) -> bool:
             or _no_multiple_strictly_between(south, north, n))
 
 
-def _pred_i(P: LatticePolygon, n: int) -> bool:
-    return _box_is_i(P.bounding_box(), n)
-
-
 @dataclass(frozen=True)
 class TypeShape:
     """The lattice geometry that defines one position type at one scale.
@@ -121,34 +116,88 @@ def type_shape(tag: str, n: int) -> TypeShape | None:
     }.get(tag)
 
 
-def _pred_shape(P: LatticePolygon, n: int, tag: str) -> bool:
-    shape = type_shape(tag, n)
-    for seg in shape.segments:
+def _va_triangle(n: int) -> tuple[Vec, Vec, Vec]:
+    """The corners of the Va triangle: its right angle, then the ends of its
+    hypotenuse x + y = 2n."""
+    return (0, 0), (2 * n, 0), (0, 2 * n)
+
+
+@lru_cache(maxsize=64)
+def _box_gates(n: int) -> dict[str, tuple]:
+    """tag -> (x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min,
+    north_max) for the types II to VI at scale n: the bounds on a polygon's
+    box (west, east, south, north) that decide every `unsplit` and `unmet`
+    line of the type, for a box that straddles the lines of its segments.
+
+    Every `type_shape` segment lies on a line x = c or y = c, and a segment
+    on y = c splits P only if south < c < north (likewise for x = c).  So
+    the box needs west < x_lo, x_hi < east, south < y_lo and y_hi < north,
+    the bounds of the lines of its segments.  Past them, east > c for every
+    c <= x_lo, so an `unsplit` line x = c there is not straddled exactly
+    when west >= c; for c >= x_hi, exactly when east <= c.  An `unmet` line
+    x = c needs the strict form, west > c or east < c, which on integers is
+    west >= c + 1 or east <= c - 1.  Lines y = c bound south and north the
+    same way.  A bound that no line sets is None.  A line off the axes, or
+    one the segment lines straddle, would not be decided by the box: it
+    raises ValueError.
+    """
+    gates = {}
+    for tag in ("II", "III", "IV", "V", "VI"):
+        shape = type_shape(tag, n)
+        xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
+        ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
+        west_min, east_max, south_min, north_max = [], [], [], []
+        for lines, strict in ((shape.unsplit, 0), (shape.unmet, 1)):
+            for a, b, c in lines:
+                if (a, b) not in ((1, 0), (0, 1)):
+                    raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
+                seg_lines, lo, hi = ((xs, west_min, east_max) if a else
+                                     (ys, south_min, north_max))
+                if c <= min(seg_lines):
+                    lo.append(c + strict)
+                elif c >= max(seg_lines):
+                    hi.append(c - strict)
+                else:
+                    raise ValueError(
+                        f"type {tag}'s segments straddle its line {(a, b, c)}")
+        gates[tag] = (min(xs), max(xs), min(ys), max(ys),
+                      max(west_min, default=None), min(east_max, default=None),
+                      max(south_min, default=None),
+                      min(north_max, default=None))
+    return gates
+
+
+def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
+              tag: str) -> bool:
+    """Does the polygon with canonical vertices `vs` and bounding box `box`,
+    known to be free of nZ^2, have type `tag` at scale n?
+
+    I is read off the box.  II to VI need the box within their _box_gates
+    bounds, which settle every `unsplit` and `unmet` line, and then every
+    `type_shape` segment to split the polygon, which is built only then.  Va
+    needs the box on the inner side of both legs of its triangle and every
+    vertex on or below the hypotenuse.
+    """
+    if tag == "I":
+        return _box_is_i(box, n)
+    west, east, south, north = box
+    if tag == "Va":
+        (cx, cy), (hx, hy), _ = _va_triangle(n)
+        return (west >= cx and south >= cy
+                and all(x + y <= hx + hy for x, y in vs))
+    (x_lo, x_hi, y_lo, y_hi,
+     west_min, east_max, south_min, north_max) = _box_gates(n)[tag]
+    if not (west < x_lo and x_hi < east and south < y_lo and y_hi < north
+            and (west_min is None or west >= west_min)
+            and (east_max is None or east <= east_max)
+            and (south_min is None or south >= south_min)
+            and (north_max is None or north <= north_max)):
+        return False
+    P = _trusted(vs)
+    for seg in type_shape(tag, n).segments:
         if not splits_by_segment(P, seg):
             return False
-    for line in shape.unsplit:
-        if splits_by_line(P, line):
-            return False
-    for line in shape.unmet:
-        if meets_line(P, line):
-            return False
     return True
-
-
-def _pred_va(P: LatticePolygon, n: int) -> bool:
-    """Inside the triangle whose corners `defining_geometry` draws."""
-    return all(x >= 0 and y >= 0 and x + y <= 2 * n for x, y in P.vertices)
-
-
-_PREDICATES = {
-    "I": _pred_i,
-    "II": partial(_pred_shape, tag="II"),
-    "III": partial(_pred_shape, tag="III"),
-    "IV": partial(_pred_shape, tag="IV"),
-    "V": partial(_pred_shape, tag="V"),
-    "VI": partial(_pred_shape, tag="VI"),
-    "Va": _pred_va,
-}
 
 
 def defining_geometry(tag: str, n: int
@@ -159,7 +208,7 @@ def defining_geometry(tag: str, n: int
     of its triangle, and I nothing.
     """
     if tag == "Va":
-        a, b, c = (0, 0), (2 * n, 0), (0, 2 * n)
+        a, b, c = _va_triangle(n)
         return (Segment(a, b), Segment(b, c), Segment(c, a)), ()
     shape = type_shape(tag, n) or TypeShape(())
     return shape.segments, shape.unsplit + shape.unmet
@@ -169,11 +218,11 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
     """Does the polygon have the given position type at scale n?
 
     A polygon that is not free of nZ^2 has no type (False for every tag).
-    The tagged vertex-bound campaigns and the reduction corpus skip this
-    freeness test: their enumerator has already re-checked every polygon it
-    emits against nZ^2, so the former call the tag's entry of _PREDICATES
-    directly and the latter classifies through _classify_core, whose box
-    gate runs those entries only where the box can hold the type.
+    Otherwise _has_type decides: the box settles I and every `unsplit` and
+    `unmet` line, and only then are the type's segments tested.  The tagged
+    vertex-bound campaigns and the reduction corpus call _has_type without
+    this freeness test, as their enumerator has already re-checked every
+    polygon it emits against nZ^2.
     """
     if n < 2:
         raise ValueError(f"type scale must be at least 2, got {n}")
@@ -181,14 +230,15 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
         raise ValueError(f"unknown type tag {tag!r}")
     if not is_free_of(P, scaled_lattice(n)):
         return False
-    return _PREDICATES[tag](P, n)
+    return _has_type(P.vertices, P.bounding_box(), n, tag)
 
 
 def polygon_types(P: LatticePolygon, n: int) -> tuple[str, ...]:
     """All tags matching the polygon, in canonical tag order."""
     if not is_free_of(P, scaled_lattice(n)):
         return ()
-    return tuple(tag for tag in TAG_ORDER if _PREDICATES[tag](P, n))
+    vs, box = P.vertices, P.bounding_box()
+    return tuple(tag for tag in TAG_ORDER if _has_type(vs, box, n, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -493,81 +543,13 @@ def _images(P: LatticePolygon, n: int, bound: int):
             queue.append(state)
 
 
-@lru_cache(maxsize=64)
-def _box_gates(n: int) -> tuple[tuple, ...]:
-    """(tag, x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min,
-    north_max) for the types II to VI at scale n, the bounds a polygon's box
-    (west, east, south, north) must keep to have the type.
-
-    Every `type_shape` segment lies on a line x = c or y = c, and a segment
-    on y = c splits P only if south < c < north (likewise for x = c).  So
-    the box needs west < x_lo, x_hi < east, south < y_lo and y_hi < north,
-    the bounds of the lines of its segments.  Past them, east > c for every
-    c <= x_lo, so an `unsplit` line x = c there is not straddled only when
-    west >= c; for c >= x_hi, only when east <= c.  An `unmet` line x = c
-    needs the strict form, west > c or east < c, which on integers is
-    west >= c + 1 or east <= c - 1.  Lines y = c bound south and north the
-    same way.  A bound that no line sets is None.
-    """
-    gates = []
-    for tag in ("II", "III", "IV", "V", "VI"):
-        shape = type_shape(tag, n)
-        xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
-        ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
-        west_min, east_max, south_min, north_max = [], [], [], []
-        for lines, strict in ((shape.unsplit, 0), (shape.unmet, 1)):
-            for a, b, c in lines:
-                if (a, b) not in ((1, 0), (0, 1)):
-                    raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
-                seg_lines, lo, hi = ((xs, west_min, east_max) if a else
-                                     (ys, south_min, north_max))
-                if c <= min(seg_lines):
-                    lo.append(c + strict)
-                elif c >= max(seg_lines):
-                    hi.append(c - strict)
-                else:
-                    raise ValueError(
-                        f"type {tag}'s segments straddle its line {(a, b, c)}")
-        gates.append((tag, min(xs), max(xs), min(ys), max(ys),
-                      max(west_min, default=None), min(east_max, default=None),
-                      max(south_min, default=None),
-                      min(north_max, default=None)))
-    return tuple(gates)
-
-
-def _first_tag(vs: tuple[Vec, ...], box: tuple[int, int, int, int],
-               n: int) -> str | None:
-    """The first tag in TAG_ORDER of the free polygon with canonical vertices
-    `vs` and bounding box `box`, or None.
-
-    I is read off the box; each other tag's predicate runs only when the box
-    can hold the type: II to VI by _box_gates, Va when west >= 0 and
-    south >= 0.
-    """
-    if _box_is_i(box, n):
-        return "I"
-    west, east, south, north = box
-    P = _trusted(vs)
-    for (tag, x_lo, x_hi, y_lo, y_hi,
-         west_min, east_max, south_min, north_max) in _box_gates(n):
-        if (west < x_lo and x_hi < east and south < y_lo and y_hi < north
-                and (west_min is None or west >= west_min)
-                and (east_max is None or east <= east_max)
-                and (south_min is None or south >= south_min)
-                and (north_max is None or north <= north_max)
-                and _PREDICATES[tag](P, n)):
-            return tag
-    if west >= 0 and south >= 0 and _PREDICATES["Va"](P, n):
-        return "Va"
-    return None
-
-
 def _classify_core(P: LatticePolygon, n: int,
                    search_bound: int = _SEARCH_BOUND,
                    state_limit: int = _STATE_LIMIT
                    ) -> tuple[str, tuple[Vec, ...], tuple[int, ...]]:
     """(tag, image vertices, integer map) of the first state of classify's
-    search that has a type, for a polygon the caller knows is free of nZ^2.
+    search that has a type, and its first tag in TAG_ORDER, for a polygon
+    the caller knows is free of nZ^2.
 
     The map (a, b, c, d, sx, sy) is (x, y) -> (a*x + b*y + sx,
     c*x + d*y + sy), and the vertices are the image's, in canonical order.
@@ -578,9 +560,9 @@ def _classify_core(P: LatticePolygon, n: int,
             raise RuntimeError(
                 f"classification state limit {state_limit} exceeded"
             )
-        tag = _first_tag(vs, box, n)
-        if tag is not None:
-            return tag, vs, m
+        for tag in TAG_ORDER:
+            if _has_type(vs, box, n, tag):
+                return tag, vs, m
     raise RuntimeError(
         f"no position type reachable within bound {search_bound}"
     )

@@ -62,11 +62,11 @@ from .lattice import (
 )
 from .polygon import LatticePolygon, _trusted, is_free_of, lattice_points_in
 from .typeclass import (
-    _PREDICATES,
     PIPELINES,
     InvariantViolation,
     PolygonType,
     _classify_core,
+    _has_type,
     type_predicate,
 )
 
@@ -603,21 +603,20 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
 
     A tagged search avoids nZ^2, and the enumerator has re-checked every
     polygon it emits against that lattice, so each polygon is tested with
-    the tag's position predicate alone, not with type_predicate, whose
-    freeness test could decide nothing here.  The search's lattice is
-    checked once, up front.
+    typeclass._has_type alone, not with type_predicate, whose freeness test
+    could decide nothing here.  The search's lattice is checked once, up
+    front.
     """
-    has_tag = None
-    if tag != "any":
-        if search.avoid != scaled_lattice(n):
-            raise InvariantViolation(
-                f"a search tagged {tag} avoids {search.avoid}, not {n}Z^2")
-        has_tag = _PREDICATES[tag]
+    tagged = tag != "any"
+    if tagged and search.avoid != scaled_lattice(n):
+        raise InvariantViolation(
+            f"a search tagged {tag} avoids {search.avoid}, not {n}Z^2")
     best, best_size, over = None, 0, []
     for poly in polygons:
-        if has_tag is not None and not has_tag(poly, n):
+        vs = poly.vertices
+        if tagged and not _has_type(vs, poly.bounding_box(), n, tag):
             continue
-        size = len(poly.vertices)
+        size = len(vs)
         if size > best_size:
             best, best_size = poly, size
         if size > limit and _reverify(poly, search.avoid, n, tag):

@@ -25,11 +25,13 @@ from latgon import (
     from_points,
     is_free_of,
     lift,
+    meets_line,
     polygon_types,
     reduce_type_iv,
     reduce_type_v,
     reduce_type_vi,
     scaled_lattice,
+    splits_by_line,
     splits_by_segment,
     transform,
     type_predicate,
@@ -37,9 +39,8 @@ from latgon import (
 from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
-    _PREDICATES,
     _box_gates,
-    _first_tag,
+    _has_type,
     _west_split_limit,
     type_shape,
 )
@@ -76,6 +77,25 @@ def pool3():
 # type predicates
 
 
+def reference_type_predicate(P, n, tag):
+    """The type of a polygon free of nZ^2, by definition and with no box
+    gate: I lies in a slab between neighbouring lines of nZ^2, Va in the
+    triangle with corners (0,0), (2n,0) and (0,2n), and II to VI are split
+    by every segment, split by no `unsplit` line and meet no `unmet` line of
+    their `type_shape`."""
+    if tag == "I":
+        west, east, south, north = P.bounding_box()
+        return (-(-east // n) - west // n <= 1
+                or -(-north // n) - south // n <= 1)
+    if tag == "Va":
+        return all(x >= 0 and y >= 0 and x + y <= 2 * n
+                   for x, y in P.vertices)
+    shape = type_shape(tag, n)
+    return (all(splits_by_segment(P, seg) for seg in shape.segments)
+            and not any(splits_by_line(P, line) for line in shape.unsplit)
+            and not any(meets_line(P, line) for line in shape.unmet))
+
+
 @pytest.mark.parametrize(
     "vertices, n, tag, expected",
     [
@@ -101,6 +121,8 @@ def pool3():
         # east-south triangle: no tag applies where it sits
         ([(2, 1), (1, -2), (-1, -1)], 3, "I", False),
         ([(2, 1), (1, -2), (-1, -1)], 3, "V", False),
+        # split by IV's four segments, but meets its line x = 8
+        ([(-3, 2), (2, -1), (8, 5)], 4, "IV", False),
     ],
 )
 def test_type_predicate_examples(vertices, n, tag, expected):
@@ -139,15 +161,15 @@ def test_type_predicate_validation():
 
 
 def test_polygon_types_agrees_with_predicate(rng, pool3):
-    for P in rng.sample(pool3, 250):
+    """Both public routes give the reference's tags, and none to a polygon
+    that is not free of 3Z^2."""
+    cases = rng.sample(pool3, 250) + [random_polygon(rng) for _ in range(100)]
+    for P in cases:
         tags = polygon_types(P, 3)
         assert tags == tuple(t for t in TAG_ORDER if type_predicate(P, 3, t))
-    # also on arbitrary polygons, free of 3Z^2 or not
-    for _ in range(100):
-        P = random_polygon(rng)
-        assert polygon_types(P, 3) == tuple(
-            t for t in TAG_ORDER if type_predicate(P, 3, t)
-        )
+        free = is_free_of(P, scaled_lattice(3))
+        assert tags == tuple(t for t in TAG_ORDER
+                             if free and reference_type_predicate(P, 3, t))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +685,7 @@ def reference_generators(P, n, bound):
 
 def reference_classify(P, n, search_bound=6, state_limit=20000):
     """The breadth-first search on polygon and map objects that tests each
-    state, every tag's predicate in turn, when it is popped."""
+    state, every tag's reference predicate in turn, when it is popped."""
     seen = {P.vertices}
     queue = deque([(P, AffineMap.identity())])
     explored = 0
@@ -675,7 +697,7 @@ def reference_classify(P, n, search_bound=6, state_limit=20000):
             raise RuntimeError(
                 f"classification state limit {state_limit} exceeded")
         for tag in TAG_ORDER:
-            if _PREDICATES[tag](cur, n):
+            if reference_type_predicate(cur, n, tag):
                 return m, PolygonType(tag, n)
         for g in reference_generators(cur, n, search_bound):
             nm = g.compose(m)
@@ -750,8 +772,8 @@ def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
 
 
 def test_type_shape_segments_are_axis_parallel():
-    """classify's box gate reads each segment's line, and each unsplit or
-    unmet line, as x = c or y = c."""
+    """The type test's box bounds read each segment's line, and each
+    unsplit or unmet line, as x = c or y = c."""
     for n in (2, 3, 4, 7):
         for tag in ("II", "III", "IV", "V", "VI"):
             shape = type_shape(tag, n)
@@ -788,8 +810,8 @@ BOX_GATES = {
 @pytest.mark.parametrize("n", sorted(BOX_GATES))
 def test_box_gates_match_hand_worked_bounds(n):
     gates = _box_gates(n)
-    assert [g[0] for g in gates] == ["II", "III", "IV", "V", "VI"]
-    assert {g[0]: g[1:] for g in gates} == BOX_GATES[n]
+    assert list(gates) == ["II", "III", "IV", "V", "VI"]
+    assert gates == BOX_GATES[n]
 
 
 def criterion_8_sample(seed=8, rate=0.02):
@@ -802,7 +824,7 @@ def criterion_8_sample(seed=8, rate=0.02):
 
 
 def test_box_gate_keeps_the_first_tag(pool3, corpus4, rng):
-    """The gated tag test equals the first tag of the ungated predicates, on
+    """The gated tag test equals the ungated reference for every tag, on
     free polygons at scales 3 and 4, on a sample of criterion 8's region,
     and on their images under one or two random maps of classify's
     generators."""
@@ -814,5 +836,34 @@ def test_box_gate_keeps_the_first_tag(pool3, corpus4, rng):
             P = transform(P, rng.choice(reference_generators(P, n, 2)))
         images.append((P, n))
     for P, n in cases + images:
-        first = next(iter(polygon_types(P, n)), None)
-        assert _first_tag(P.vertices, P.bounding_box(), n) == first, (P, n)
+        box = P.bounding_box()
+        for tag in TAG_ORDER:
+            assert (_has_type(P.vertices, box, n, tag)
+                    is reference_type_predicate(P, n, tag)), (P, n, tag)
+
+
+def test_box_gate_matches_reference_where_type_iv_occurs():
+    """_has_type equals the reference for every tag on the 4Z^2-free
+    polygons of [-1,6]x[-1,5], where every tag occurs, IV included, as in no
+    other pool here: on every polygon split by both [(0,0),(4,0)] and
+    [(4,0),(4,4)], as each of type II, III or IV is, and on a seeded sample
+    of the rest."""
+    n = 4
+    south_seg, east_seg = Segment((0, 0), (n, 0)), Segment((n, 0), (n, n))
+    sample = random.Random(17)
+    total, tally = 0, Counter()
+    for P in enumerate_convex_polygons(SearchRegion(-1, 6, -1, 5),
+                                       avoid=scaled_lattice(n)):
+        total += 1
+        split = (splits_by_segment(P, south_seg)
+                 and splits_by_segment(P, east_seg))
+        if not split and sample.random() >= 0.02:
+            continue
+        box = P.bounding_box()
+        for tag in TAG_ORDER:
+            expected = reference_type_predicate(P, n, tag)
+            assert _has_type(P.vertices, box, n, tag) is expected, (P, tag)
+            tally[tag] += expected
+    assert total == 364083
+    assert (tally["II"], tally["III"], tally["IV"]) == (899, 5399, 26)
+    assert all(tally[tag] for tag in TAG_ORDER), tally
