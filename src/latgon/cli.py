@@ -415,6 +415,9 @@ def run(argv: list[str] | None = None) -> int:
     if ns.subcommand == "render" and (ns.polygon is None) == (ns.trace is None):
         _note("error: render needs exactly one of --polygon / --trace")
         return 1
+    if ns.subcommand == "render" and ns.tag is not None and (ns.n or 0) < 2:
+        _note("error: render --tag needs --n of at least 2")
+        return 1
     try:
         return ns.func(ns)
     except _InputError as exc:

@@ -34,6 +34,11 @@ from .polygon import (
 TAG_ORDER = ("I", "II", "III", "IV", "V", "VI", "Va")
 
 
+def _check_scale(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"type scale must be at least 2, got {n}")
+
+
 @dataclass(frozen=True)
 class PolygonType:
     tag: str
@@ -42,8 +47,7 @@ class PolygonType:
     def __post_init__(self) -> None:
         if self.tag not in TAG_ORDER:
             raise ValueError(f"unknown type tag {self.tag!r}")
-        if self.n < 2:
-            raise ValueError(f"type scale must be at least 2, got {self.n}")
+        _check_scale(self.n)
 
 
 @dataclass(frozen=True)
@@ -123,48 +127,26 @@ def _va_triangle(n: int) -> tuple[Vec, Vec, Vec]:
 
 
 @lru_cache(maxsize=64)
-def _box_gates(n: int) -> dict[str, tuple]:
-    """tag -> (x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min,
-    north_max) for the types II to VI at scale n: the bounds on a polygon's
-    box (west, east, south, north) that decide every `unsplit` and `unmet`
-    line of the type, for a box that straddles the lines of its segments.
+def _box_reads(tag: str, n: int) -> tuple:
+    """((x_lo, x_hi, y_lo, y_hi), unsplit, unmet) for type `tag` (II to VI)
+    at scale n: the least and largest c of the lines x = c and y = c of its
+    segments, then its `unsplit` and `unmet` lines as (axis, c) pairs, axis
+    0 for x = c and 1 for y = c.
 
-    Every `type_shape` segment lies on a line x = c or y = c, and a segment
-    on y = c splits P only if south < c < north (likewise for x = c).  So
-    the box needs west < x_lo, x_hi < east, south < y_lo and y_hi < north,
-    the bounds of the lines of its segments.  Past them, east > c for every
-    c <= x_lo, so an `unsplit` line x = c there is not straddled exactly
-    when west >= c; for c >= x_hi, exactly when east <= c.  An `unmet` line
-    x = c needs the strict form, west > c or east < c, which on integers is
-    west >= c + 1 or east <= c - 1.  Lines y = c bound south and north the
-    same way.  A bound that no line sets is None.  A line off the axes, or
-    one the segment lines straddle, would not be decided by the box: it
-    raises ValueError.
+    A segment on y = c splits P only if south < c < north (likewise for
+    x = c), so a box must straddle every segment line: west < x_lo,
+    x_hi < east, south < y_lo and y_hi < north.  A line off the axes raises
+    ValueError.
     """
-    gates = {}
-    for tag in ("II", "III", "IV", "V", "VI"):
-        shape = type_shape(tag, n)
-        xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
-        ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
-        west_min, east_max, south_min, north_max = [], [], [], []
-        for lines, strict in ((shape.unsplit, 0), (shape.unmet, 1)):
-            for a, b, c in lines:
-                if (a, b) not in ((1, 0), (0, 1)):
-                    raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
-                seg_lines, lo, hi = ((xs, west_min, east_max) if a else
-                                     (ys, south_min, north_max))
-                if c <= min(seg_lines):
-                    lo.append(c + strict)
-                elif c >= max(seg_lines):
-                    hi.append(c - strict)
-                else:
-                    raise ValueError(
-                        f"type {tag}'s segments straddle its line {(a, b, c)}")
-        gates[tag] = (min(xs), max(xs), min(ys), max(ys),
-                      max(west_min, default=None), min(east_max, default=None),
-                      max(south_min, default=None),
-                      min(north_max, default=None))
-    return gates
+    shape = type_shape(tag, n)
+    for a, b, c in shape.unsplit + shape.unmet:
+        if (a, b) not in ((1, 0), (0, 1)):
+            raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
+    xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
+    ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
+    return ((min(xs), max(xs), min(ys), max(ys)),
+            tuple((b, c) for _a, b, c in shape.unsplit),
+            tuple((b, c) for _a, b, c in shape.unmet))
 
 
 def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
@@ -172,11 +154,14 @@ def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
     """Does the polygon with canonical vertices `vs` and bounding box `box`,
     known to be free of nZ^2, have type `tag` at scale n?
 
-    I is read off the box.  II to VI need the box within their _box_gates
-    bounds, which settle every `unsplit` and `unmet` line, and then every
-    `type_shape` segment to split the polygon, which is built only then.  Va
-    needs the box on the inner side of both legs of its triangle and every
-    vertex on or below the hypotenuse.
+    I is read off the box.  So is every `unsplit` and `unmet` line of II to
+    VI: a box's extremes along an axis are its polygon's, so P splits x = c
+    exactly when west < c < east and meets it exactly when west <= c <=
+    east, and y = c reads south and north the same way.  Only for a box
+    that straddles every segment line and passes these reads is the polygon
+    built, and every `type_shape` segment must split it.  Va needs the box
+    on the inner side of both legs of its triangle and every vertex on or
+    below the hypotenuse.
     """
     if tag == "I":
         return _box_is_i(box, n)
@@ -185,14 +170,15 @@ def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
         (cx, cy), (hx, hy), _ = _va_triangle(n)
         return (west >= cx and south >= cy
                 and all(x + y <= hx + hy for x, y in vs))
-    (x_lo, x_hi, y_lo, y_hi,
-     west_min, east_max, south_min, north_max) = _box_gates(n)[tag]
-    if not (west < x_lo and x_hi < east and south < y_lo and y_hi < north
-            and (west_min is None or west >= west_min)
-            and (east_max is None or east <= east_max)
-            and (south_min is None or south >= south_min)
-            and (north_max is None or north <= north_max)):
+    (x_lo, x_hi, y_lo, y_hi), unsplit, unmet = _box_reads(tag, n)
+    if not (west < x_lo and x_hi < east and south < y_lo and y_hi < north):
         return False
+    for axis, c in unsplit:
+        if box[2 * axis] < c < box[2 * axis + 1]:
+            return False
+    for axis, c in unmet:
+        if box[2 * axis] <= c <= box[2 * axis + 1]:
+            return False
     P = _trusted(vs)
     for seg in type_shape(tag, n).segments:
         if not splits_by_segment(P, seg):
@@ -224,8 +210,7 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
     this freeness test, as their enumerator has already re-checked every
     polygon it emits against nZ^2.
     """
-    if n < 2:
-        raise ValueError(f"type scale must be at least 2, got {n}")
+    _check_scale(n)
     if tag not in TAG_ORDER:
         raise ValueError(f"unknown type tag {tag!r}")
     if not is_free_of(P, scaled_lattice(n)):
@@ -235,6 +220,7 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
 
 def polygon_types(P: LatticePolygon, n: int) -> tuple[str, ...]:
     """All tags matching the polygon, in canonical tag order."""
+    _check_scale(n)
     if not is_free_of(P, scaled_lattice(n)):
         return ()
     vs, box = P.vertices, P.bounding_box()
@@ -376,8 +362,15 @@ class _Recorder:
         self.cur = transform(self.cur, m)
 
     def lift(self) -> int:
-        """Lift the current polygon and return a0; only a0 > 0 is recorded."""
-        a0, lifted, m = lift(self.cur, self.n)
+        """Lift the current polygon and return a0; only a0 > 0 is recorded.
+
+        The polygon is the reduction's own, not outside input, so a
+        precondition of `lift` that fails here is a broken law.
+        """
+        try:
+            a0, lifted, m = lift(self.cur, self.n)
+        except ValueError as exc:
+            raise InvariantViolation(f"lift: {exc}") from exc
         if a0 > 0:
             self.steps.append(ReductionStep("lift", m, a0))
             self.cur = lifted
@@ -580,8 +573,7 @@ def classify(P: LatticePolygon, n: int, search_bound: int = _SEARCH_BOUND,
     when more than state_limit states (P included) would be tested or the
     bounded search is exhausted.
     """
-    if n < 2:
-        raise ValueError(f"type scale must be at least 2, got {n}")
+    _check_scale(n)
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
     tag, _vs, (a, b, c, d, sx, sy) = _classify_core(P, n, search_bound,

@@ -744,10 +744,11 @@ def _reduces(tag: str, vs: tuple[Vec, ...], n: int) -> bool:
 
     The pipeline is a pure function of its input, so each distinct
     classified image is reduced once per campaign and its outcome shared.
+    A law broken inside the pipeline fails the reduction.
     """
     try:
         PIPELINES[tag](_trusted(vs), n)
-    except (RuntimeError, InvariantViolation):
+    except InvariantViolation:
         return False
     return True
 

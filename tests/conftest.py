@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 
 from latgon import SearchRegion, enumerate_convex_polygons, from_points
+from latgon import typeclass
 
 
 def cross(o, a, b):
@@ -230,3 +231,17 @@ def rng():
 def corpus_04():
     """All convex lattice polygons with vertices in [0,4]^2."""
     return tuple(enumerate_convex_polygons(SearchRegion(0, 4, 0, 4)))
+
+
+def fail_lift_on_call(k, error, monkeypatch):
+    """Patch typeclass.lift, which the reductions call, to raise `error` on
+    its k-th call."""
+    real_lift, calls = typeclass.lift, [0]
+
+    def failing_lift(P, n):
+        calls[0] += 1
+        if calls[0] == k:
+            raise error("west segment does not split the polygon")
+        return real_lift(P, n)
+
+    monkeypatch.setattr(typeclass, "lift", failing_lift)

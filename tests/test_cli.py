@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fail_lift_on_call
 import latgon
 from latgon.cli import run
 from latgon.jsonio import decode_trace, encode_trace
@@ -119,6 +120,18 @@ def test_reduce_explicit_kind_mismatch(capsys):
     assert code == 1
     assert out == ""
     assert "not of type VI" in err
+
+
+def test_reduce_exits_two_when_a_lift_precondition_breaks(capsys,
+                                                          monkeypatch):
+    """The polygon a reduction lifts is its own, so a lift that rejects it
+    is a broken law (exit 2), not bad input."""
+    fail_lift_on_call(2, ValueError, monkeypatch)
+    code, out, err = run_cli(
+        capsys, "reduce", "--n", "3", "--polygon", "[[-2,-1],[-1,2],[1,1]]",
+    )
+    assert (code, out) == (2, "")
+    assert "counterexample: lift: west segment" in err
 
 
 def test_verify_main_pentagon_capture(capsys):
@@ -453,6 +466,13 @@ def test_polygon_not_free_is_input_error(capsys):
                       '"result":{"vertices":[[0,0],[3,0],[0,3]]},'
                       '"result_type":{"n":4,"tag":"VI"},"steps":[]}'),
                      id="argv20"),
+        # an overlay needs its scale
+        pytest.param(("render", "--polygon", "[[1,1],[2,1],[2,2],[1,2]]",
+                      "--tag", "V"),
+                     id="render-tag-without-n"),
+        pytest.param(("render", "--polygon", "[[1,1],[2,1],[2,2],[1,2]]",
+                      "--tag", "V", "--n", "1"),
+                     id="render-tag-below-scale-2"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -39,7 +39,7 @@ from latgon import (
 from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
-    _box_gates,
+    _box_reads,
     _has_type,
     _west_split_limit,
     type_shape,
@@ -100,29 +100,48 @@ def reference_type_predicate(P, n, tag):
     "vertices, n, tag, expected",
     [
         # off-lattice unit square: fits in a slab, and in the corner triangle
-        ([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "I", True),
-        ([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "Va", True),
-        ([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "II", False),
-        ([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "V", False),
+        pytest.param([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "I", True,
+                     id="vertices0-3-I-True"),
+        pytest.param([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "Va", True,
+                     id="vertices1-3-Va-True"),
+        pytest.param([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "II", False,
+                     id="vertices2-3-II-False"),
+        pytest.param([(1, 1), (2, 1), (2, 2), (1, 2)], 3, "V", False,
+                     id="vertices3-3-V-False"),
         # triangle straddling the origin: west and north splits only
-        ([(-2, -1), (-1, 2), (1, 1)], 3, "V", True),
-        ([(-2, -1), (-1, 2), (1, 1)], 3, "I", False),
-        ([(-2, -1), (-1, 2), (1, 1)], 3, "VI", False),
-        ([(-2, -1), (-1, 2), (1, 1)], 3, "Va", False),
+        pytest.param([(-2, -1), (-1, 2), (1, 1)], 3, "V", True,
+                     id="vertices4-3-V-True"),
+        pytest.param([(-2, -1), (-1, 2), (1, 1)], 3, "I", False,
+                     id="vertices5-3-I-False"),
+        pytest.param([(-2, -1), (-1, 2), (1, 1)], 3, "VI", False,
+                     id="vertices6-3-VI-False"),
+        pytest.param([(-2, -1), (-1, 2), (1, 1)], 3, "Va", False,
+                     id="vertices7-3-Va-False"),
         # diamond around the scaled unit square: all four sides split
-        ([(-1, 1), (2, -1), (4, 2), (1, 4)], 3, "II", True),
-        ([(-1, 1), (2, -1), (4, 2), (1, 4)], 3, "I", False),
+        pytest.param([(-1, 1), (2, -1), (4, 2), (1, 4)], 3, "II", True,
+                     id="vertices8-3-II-True"),
+        pytest.param([(-1, 1), (2, -1), (4, 2), (1, 4)], 3, "I", False,
+                     id="vertices9-3-I-False"),
         # tall polygon reaching over the top edge
-        ([(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2), (-2, 1), (-3, -1)], 3, "VI", True),
-        ([(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2), (-2, 1), (-3, -1)], 3, "V", False),
+        pytest.param([(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2),
+                      (-2, 1), (-3, -1)], 3, "VI", True,
+                     id="vertices10-3-VI-True"),
+        pytest.param([(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2),
+                      (-2, 1), (-3, -1)], 3, "V", False,
+                     id="vertices11-3-V-False"),
         # wide triangle between the lines x = -4 and x = 8
-        ([(-1, 1), (3, -2), (6, 5)], 4, "IV", True),
-        ([(-1, 1), (3, -2), (6, 5)], 4, "III", False),
+        pytest.param([(-1, 1), (3, -2), (6, 5)], 4, "IV", True,
+                     id="vertices12-4-IV-True"),
+        pytest.param([(-1, 1), (3, -2), (6, 5)], 4, "III", False,
+                     id="vertices13-4-III-False"),
         # east-south triangle: no tag applies where it sits
-        ([(2, 1), (1, -2), (-1, -1)], 3, "I", False),
-        ([(2, 1), (1, -2), (-1, -1)], 3, "V", False),
+        pytest.param([(2, 1), (1, -2), (-1, -1)], 3, "I", False,
+                     id="vertices14-3-I-False"),
+        pytest.param([(2, 1), (1, -2), (-1, -1)], 3, "V", False,
+                     id="vertices15-3-V-False"),
         # split by IV's four segments, but meets its line x = 8
-        ([(-3, 2), (2, -1), (8, 5)], 4, "IV", False),
+        pytest.param([(-3, 2), (2, -1), (8, 5)], 4, "IV", False,
+                     id="vertices16-4-IV-False"),
     ],
 )
 def test_type_predicate_examples(vertices, n, tag, expected):
@@ -135,6 +154,13 @@ def test_polygon_types_examples():
     assert polygon_types(DIAMOND_II, 3) == ("II",)
     assert polygon_types(EIGHT_GON, 3) == ("VI",)
     assert polygon_types(from_points([(2, 1), (1, -2), (-1, -1)]), 3) == ()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_polygon_types_checks_its_scale(n):
+    with pytest.raises(ValueError,
+                       match=f"type scale must be at least 2, got {n}"):
+        polygon_types(SQUARE, n)
 
 
 def test_polygon_types_follows_tag_order():
@@ -258,9 +284,12 @@ def test_lift_identity_when_already_lifted():
 @pytest.mark.parametrize(
     "vertices, n, message",
     [
-        ([(1, 1), (2, 1), (2, 2)], 3, "west segment"),
-        ([(-2, -1), (-1, 2), (1, 1)], 2, "n >= 3"),
-        ([(-1, -1), (1, 0), (0, 1)], 3, "not free"),
+        pytest.param([(1, 1), (2, 1), (2, 2)], 3, "west segment",
+                     id="vertices0-3-west segment"),
+        pytest.param([(-2, -1), (-1, 2), (1, 1)], 2, "n >= 3",
+                     id="vertices1-2-n >= 3"),
+        pytest.param([(-1, -1), (1, 0), (0, 1)], 3, "not free",
+                     id="vertices2-3-not free"),
     ],
 )
 def test_lift_rejects_bad_input(vertices, n, message):
@@ -427,31 +456,37 @@ def _assert_trace_shape(trace, source, n):
 @pytest.mark.parametrize(
     "vertices, labels, tag, result_vertices",
     [
-        (TRIANGLE.vertices, ["reflect", "flip"], "Va", ((1, 2), (4, 1), (2, 4))),
-        (
+        pytest.param(TRIANGLE.vertices, ["reflect", "flip"], "Va",
+                     ((1, 2), (4, 1), (2, 4)),
+                     id="vertices0-labels0-Va-result_vertices0"),
+        pytest.param(
             [(-2, -2), (-1, -2), (1, 3), (-2, 2)],
             ["lift", "translate"],
             "III",
             ((1, 0), (2, -1), (4, 2), (1, 4)),
+            id="vertices1-labels1-III-result_vertices1",
         ),
         # Paths that reflect before they lift, and lift again after a reflection.
-        (
+        pytest.param(
             [(-3, -1), (2, 1), (-2, 3)],
             ["reflect", "lift", "translate"],
             "III",
             ((0, 5), (2, -1), (4, 2)),
+            id="vertices2-labels2-III-result_vertices2",
         ),
-        (
+        pytest.param(
             [(-3, -4), (2, 3), (-2, 1)],
             ["lift", "reflect", "lift", "translate"],
             "III",
             ((0, 5), (2, -1), (4, 2)),
+            id="vertices3-labels3-III-result_vertices3",
         ),
-        (
+        pytest.param(
             [(-3, -4), (2, 3), (-2, -1)],
             ["lift", "reflect", "lift", "reflect", "reflect", "flip"],
             "Va",
             ((2, 0), (4, 1), (2, 4)),
+            id="vertices4-labels4-Va-result_vertices4",
         ),
     ],
 )
@@ -473,55 +508,63 @@ def test_reduce_type_v_composed_map():
 @pytest.mark.parametrize(
     "vertices, labels, tag, result_vertices",
     [
-        (
+        pytest.param(
             [(-3, -2), (-2, -2), (-1, -1), (3, 4), (2, 4), (-1, 2), (-2, 1), (-3, -1)],
             ["center", "skew-reflect"],
             "I",
             ((0, 1), (1, -1), (2, -1), (3, 4), (3, 5), (2, 5), (1, 4), (0, 2)),
+            id="vertices0-labels0-I-result_vertices0",
         ),
-        (
+        pytest.param(
             [(-2, -2), (-1, -1), (3, 4), (-2, 2)],
             ["center", "skew-reflect"],
             "III",
             ((0, 4), (1, -1), (4, 1), (0, 5)),
+            id="vertices1-labels1-III-result_vertices1",
         ),
-        (
+        pytest.param(
             [(-2, -2), (-1, -2), (2, 5), (1, 4), (-2, 0)],
             ["lift"],
             "V",
             ((-2, 0), (-1, -1), (2, 3), (1, 3), (-2, 2)),
+            id="vertices2-labels2-V-result_vertices2",
         ),
-        (
+        pytest.param(
             [(-2, -2), (-1, -2), (2, 5), (1, 5)],
             ["lift", "center", "skew-reflect"],
             "I",
             ((0, -1), (2, 0), (3, 4), (1, 3)),
+            id="vertices3-labels3-I-result_vertices3",
         ),
         # The close-out to II, the unshifted skew to III, and the translate
         # exit of each stage.
-        (
+        pytest.param(
             [(-3, -1), (2, 1), (3, 4), (-2, 2)],
             ["center", "skew-reflect"],
             "II",
             ((-1, 1), (2, -1), (4, 2), (1, 4)),
+            id="vertices4-labels4-II-result_vertices4",
         ),
-        (
+        pytest.param(
             [(-2, -1), (3, 2), (2, 4)],
             ["center", "skew-reflect"],
             "III",
             ((1, -1), (4, 1), (2, 4)),
+            id="vertices5-labels5-III-result_vertices5",
         ),
-        (
+        pytest.param(
             [(-3, -2), (-1, -3), (1, 4)],
             ["lift", "translate"],
             "III",
             ((0, 4), (2, -1), (4, 2)),
+            id="vertices6-labels6-III-result_vertices6",
         ),
-        (
+        pytest.param(
             [(-2, -2), (2, 3), (3, 10)],
             ["center", "lift", "translate"],
             "III",
             ((0, -1), (5, 1), (1, 4)),
+            id="vertices7-labels7-III-result_vertices7",
         ),
     ],
 )
@@ -555,9 +598,12 @@ def test_reduce_type_iv_skew():
 @pytest.mark.parametrize(
     "reducer, vertices, n",
     [
-        (reduce_type_v, [(1, 1), (2, 1), (2, 2), (1, 2)], 3),
-        (reduce_type_vi, [(-2, -1), (-1, 2), (1, 1)], 3),
-        (reduce_type_iv, [(1, 1), (2, 1), (2, 2), (1, 2)], 4),
+        pytest.param(reduce_type_v, [(1, 1), (2, 1), (2, 2), (1, 2)], 3,
+                     id="reduce_type_v-vertices0-3"),
+        pytest.param(reduce_type_vi, [(-2, -1), (-1, 2), (1, 1)], 3,
+                     id="reduce_type_vi-vertices1-3"),
+        pytest.param(reduce_type_iv, [(1, 1), (2, 1), (2, 2), (1, 2)], 4,
+                     id="reduce_type_iv-vertices2-4"),
     ],
 )
 def test_reducers_reject_wrong_type(reducer, vertices, n):
@@ -772,8 +818,8 @@ def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
 
 
 def test_type_shape_segments_are_axis_parallel():
-    """The type test's box bounds read each segment's line, and each
-    unsplit or unmet line, as x = c or y = c."""
+    """The type test reads each segment's line, and each unsplit or unmet
+    line, on the box as x = c or y = c."""
     for n in (2, 3, 4, 7):
         for tag in ("II", "III", "IV", "V", "VI"):
             shape = type_shape(tag, n)
@@ -783,35 +829,33 @@ def test_type_shape_segments_are_axis_parallel():
                 assert (a, b) in ((1, 0), (0, 1))
 
 
-# (x_lo, x_hi, y_lo, y_hi, west_min, east_max, south_min, north_max), read off
-# type_shape by hand: II's square [0,n]^2 bounds only from inside; III's
-# unsplit x = 0 gives west >= 0; IV's unmet x = -n and x = 2n give
-# west >= 1-n and east <= 2n-1; V's unsplit x = -n and y = n give west >= -n
-# and north <= n; VI's unsplit x = -n and x = n give west >= -n, east <= n.
-BOX_GATES = {
-    3: {"II": (0, 3, 0, 3, None, None, None, None),
-        "III": (3, 3, 0, 3, 0, None, None, None),
-        "IV": (0, 3, 0, 3, -2, 5, None, None),
-        "V": (0, 0, 0, 0, -3, None, None, 3),
-        "VI": (0, 0, 0, 3, -3, 3, None, None)},
-    4: {"II": (0, 4, 0, 4, None, None, None, None),
-        "III": (4, 4, 0, 4, 0, None, None, None),
-        "IV": (0, 4, 0, 4, -3, 7, None, None),
-        "V": (0, 0, 0, 0, -4, None, None, 4),
-        "VI": (0, 0, 0, 4, -4, 4, None, None)},
-    6: {"II": (0, 6, 0, 6, None, None, None, None),
-        "III": (6, 6, 0, 6, 0, None, None, None),
-        "IV": (0, 6, 0, 6, -5, 11, None, None),
-        "V": (0, 0, 0, 0, -6, None, None, 6),
-        "VI": (0, 0, 0, 6, -6, 6, None, None)},
+# ((x_lo, x_hi, y_lo, y_hi), unsplit, unmet), read off type_shape by hand,
+# each line as (axis, c) with axis 0 for x = c and 1 for y = c: II's square
+# [0,n]^2 has no other line; III adds the unsplit x = 0; IV's unmet lines
+# are x = -n and x = 2n; V's unsplit lines are x = -n and y = n; VI's are
+# x = -n and x = n.
+BOX_READS = {
+    3: {"II": ((0, 3, 0, 3), (), ()),
+        "III": ((3, 3, 0, 3), ((0, 0),), ()),
+        "IV": ((0, 3, 0, 3), (), ((0, -3), (0, 6))),
+        "V": ((0, 0, 0, 0), ((0, -3), (1, 3)), ()),
+        "VI": ((0, 0, 0, 3), ((0, -3), (0, 3)), ())},
+    4: {"II": ((0, 4, 0, 4), (), ()),
+        "III": ((4, 4, 0, 4), ((0, 0),), ()),
+        "IV": ((0, 4, 0, 4), (), ((0, -4), (0, 8))),
+        "V": ((0, 0, 0, 0), ((0, -4), (1, 4)), ()),
+        "VI": ((0, 0, 0, 4), ((0, -4), (0, 4)), ())},
+    6: {"II": ((0, 6, 0, 6), (), ()),
+        "III": ((6, 6, 0, 6), ((0, 0),), ()),
+        "IV": ((0, 6, 0, 6), (), ((0, -6), (0, 12))),
+        "V": ((0, 0, 0, 0), ((0, -6), (1, 6)), ()),
+        "VI": ((0, 0, 0, 6), ((0, -6), (0, 6)), ())},
 }
 
 
-@pytest.mark.parametrize("n", sorted(BOX_GATES))
+@pytest.mark.parametrize("n", sorted(BOX_READS))
 def test_box_gates_match_hand_worked_bounds(n):
-    gates = _box_gates(n)
-    assert list(gates) == ["II", "III", "IV", "V", "VI"]
-    assert gates == BOX_GATES[n]
+    assert {tag: _box_reads(tag, n) for tag in BOX_READS[n]} == BOX_READS[n]
 
 
 def criterion_8_sample(seed=8, rate=0.02):

@@ -14,7 +14,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import convex_polygons_dfs, convex_polygons_powerset
+from conftest import (convex_polygons_dfs, convex_polygons_powerset,
+                      fail_lift_on_call)
 from latgon import (
     REGION_PRESETS,
     BoundReport,
@@ -738,6 +739,19 @@ def test_corpus_campaign_starts_from_an_empty_cache(corpus_images,
     monkeypatch.undo()
     assert verify_reduction_corpus(3, CORPUS_REGION) == (clean_report,
                                                           clean_tally)
+
+
+def test_corpus_counts_a_failed_lift_precondition(monkeypatch):
+    """A lift that reports a broken precondition inside a reduction gives
+    the corpus report of a lift that breaks a law at the same call: the
+    polygons classified to that image are counterexamples."""
+    reports = []
+    for error in (ValueError, InvariantViolation):
+        fail_lift_on_call(5, error, monkeypatch)
+        reports.append(verify_reduction_corpus(3, CORPUS_REGION))
+        monkeypatch.undo()
+    assert reports[0] == reports[1]
+    assert reports[0][0].counterexamples != ()
 
 
 def test_corpus_kernel_refuses_search_off_scaled_lattice():
