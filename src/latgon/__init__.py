@@ -40,22 +40,6 @@ from .polygon import (
     splits_by_segment,
     transform,
 )
-from .slope import (
-    Frame,
-    MaximalSlopes,
-    SignedBasis,
-    Slope,
-    SlopeError,
-    WitnessNotFound,
-    check_slp_witness,
-    check_th36_witness,
-    forms_small_angle,
-    frame_splits,
-    frame_splits_polygon_slope,
-    maximal_slopes,
-    run_fuzz_suite,
-    validate_slope,
-)
 from .typeclass import (
     TAG_ORDER,
     InvariantViolation,
@@ -85,3 +69,42 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# No bound or corpus campaign calls the slope layer, so it and the names
+# re-exported from it load on first use (PEP 562), not with the package.
+_LAZY = dict.fromkeys((
+    "slope",
+    "Frame",
+    "MaximalSlopes",
+    "SignedBasis",
+    "Slope",
+    "SlopeError",
+    "WitnessNotFound",
+    "check_slp_witness",
+    "check_th36_witness",
+    "forms_small_angle",
+    "frame_splits",
+    "frame_splits_polygon_slope",
+    "maximal_slopes",
+    "run_fuzz_suite",
+    "validate_slope",
+), "latgon.slope")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(_LAZY[name])
+    # Importing a submodule binds it here under its own name already.
+    if name not in globals():
+        globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
+
+# `from latgon import *` binds the lazy names as well (and so loads them).
+__all__ = [name for name in (*globals(), *_LAZY) if not name.startswith("_")]

@@ -409,11 +409,18 @@ def run(argv: list[str] | None = None) -> int:
     if (getattr(ns, "budget", None) or 0) < 0:
         _note("error: --budget must be at least 0")
         return 1
+    if getattr(ns, "bound", 0) < 0:
+        _note("error: --bound must be at least 0")
+        return 1
     if getattr(ns, "workers", 1) < 1:
         _note("error: --workers must be at least 1")
         return 1
     if ns.subcommand == "render" and (ns.polygon is None) == (ns.trace is None):
         _note("error: render needs exactly one of --polygon / --trace")
+        return 1
+    if ns.subcommand == "render" and ns.trace is not None and (
+            ns.tag, ns.n, ns.lattice) != (None, None, None):
+        _note("error: render --trace takes no --tag, --n or --lattice")
         return 1
     if ns.subcommand == "render" and ns.tag is not None and (ns.n or 0) < 2:
         _note("error: render --tag needs --n of at least 2")

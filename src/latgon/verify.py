@@ -49,7 +49,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from math import gcd
-from multiprocessing import Pool
 from typing import Iterator
 
 from .lattice import (
@@ -550,6 +549,9 @@ def _campaign(kernel, args: tuple, searches: list[_Search],
     tasks = [(kernel, args, search, anchor)
              for search in searches for anchor in _anchors(search)]
     nodes = seen = 0
+    if workers > 1:
+        # A one-worker campaign never loads multiprocessing.
+        from multiprocessing import Pool
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         if pool is None:
             # map is lazy: each task is built after the one before it merged.

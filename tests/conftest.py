@@ -8,11 +8,15 @@ extension instead of the anchored streaming search.  Agreement between
 the two sides is therefore evidence, not tautology.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import latgon
 from latgon import SearchRegion, enumerate_convex_polygons, from_points
 from latgon import typeclass
 
@@ -245,3 +249,18 @@ def fail_lift_on_call(k, error, monkeypatch):
         return real_lift(P, n)
 
     monkeypatch.setattr(typeclass, "lift", failing_lift)
+
+
+def checkout_env():
+    """The environment, with this checkout's latgon first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(latgon.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_python(code, *flags):
+    """Run `code` in a fresh interpreter with interpreter `flags` and this
+    checkout's latgon; return the finished process, output as text."""
+    return subprocess.run([sys.executable, *flags, "-c", code],
+                          env=checkout_env(), capture_output=True, text=True,
+                          timeout=120)

@@ -7,7 +7,6 @@ fail on any formatting drift, not just on value changes.
 """
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -15,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fail_lift_on_call
-import latgon
+from conftest import checkout_env, fail_lift_on_call, run_python
 from latgon.cli import run
 from latgon.jsonio import decode_trace, encode_trace
 
@@ -363,11 +361,7 @@ def test_type_gallery_names_a_stale_example_under_optimize(tmp_path):
         f"sys.argv = ['render_type_gallery.py', '--out-dir', {str(tmp_path)!r}]",
         "sys.exit(gallery.main())",
     ])
-    src = os.path.dirname(os.path.dirname(latgon.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, "-O")
     assert proc.returncode == 1, proc.stderr
     assert "example for II went stale" in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["type-i-n3.svg"]
@@ -473,6 +467,19 @@ def test_polygon_not_free_is_input_error(capsys):
         pytest.param(("render", "--polygon", "[[1,1],[2,1],[2,2],[1,2]]",
                       "--tag", "V", "--n", "1"),
                      id="render-tag-below-scale-2"),
+        # a trace is drawn as recorded: no overlay, scale or lattice
+        pytest.param(("render", "--trace", TRIANGLE_TRACE,
+                      "--tag", "II", "--n", "3"),
+                     id="render-trace-with-tag"),
+        pytest.param(("render", "--trace", TRIANGLE_TRACE, "--n", "3"),
+                     id="render-trace-with-n"),
+        pytest.param(("render", "--trace", TRIANGLE_TRACE,
+                      "--lattice", '{"basis":[[5,0],[0,5]]}'),
+                     id="render-trace-with-lattice"),
+        # the shear-generator search bound is at least 0
+        pytest.param(("classify", "--n", "3", "--bound", "-1",
+                      "--polygon", "[[1,1],[2,1],[2,2],[1,2]]"),
+                     id="classify-bound-below-0"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -535,9 +542,7 @@ def test_console_script_installed():
     module, attr = _declared_entry_point()
     wrapper = (f"import sys; from {module} import {attr}; "
                f"sys.argv[0] = 'latgon'; sys.exit({attr}())")
-    src = os.path.dirname(os.path.dirname(latgon.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = checkout_env()
     commands = [[sys.executable, "-c", wrapper]]
     script = shutil.which("latgon")
     if script is not None:

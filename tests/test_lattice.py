@@ -1,9 +1,6 @@
 """Canonical forms, invariant factors, steps, residues, and maps."""
 
-import os
 import random
-import subprocess
-import sys
 from math import gcd
 
 import pytest
@@ -11,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import latgon
-from conftest import snf_oracle
+from conftest import run_python, snf_oracle
 from latgon import (
     AffineMap,
     Lattice2,
@@ -214,11 +211,7 @@ def test_snf_routes_are_compared_under_optimize():
         "except InvariantViolation as exc:",
         "    print(sys.flags.optimize, exc)",
     ])
-    src = os.path.dirname(os.path.dirname(latgon.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 SNF routes disagree"), proc.stdout
     assert (latgon.InvariantViolation is latgon.typeclass.InvariantViolation

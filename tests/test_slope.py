@@ -1,15 +1,11 @@
 """Slope validity, maximal slopes, splitting frames, witness inequalities."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import latgon
-from conftest import random_polygon
+from conftest import random_polygon, run_python
 from latgon import (
     Frame,
     SearchRegion,
@@ -386,6 +382,51 @@ def test_fuzz_suite_smoke():
     assert run_fuzz_suite(7, 200, 200) == out  # deterministic
 
 
+#: The slope layer's names that `latgon` re-exports.
+SLOPE_NAMES = (
+    "Frame", "MaximalSlopes", "SignedBasis", "Slope", "SlopeError",
+    "WitnessNotFound", "check_slp_witness", "check_th36_witness",
+    "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
+    "maximal_slopes", "run_fuzz_suite", "validate_slope",
+)
+
+
+def test_package_loads_slope_names_on_first_use():
+    """In a fresh interpreter, `import latgon` leaves the slope layer
+    unloaded; each re-exported slope name and `latgon.slope` itself then
+    resolve on first use, to the slope layer's own objects, and are listed
+    by dir(latgon) and bound by `from latgon import *`.  An unknown name still raises AttributeError."""
+    code = "\n".join([
+        "import json, sys",
+        "import latgon",
+        "loaded = 'latgon.slope' in sys.modules",
+        f"from latgon import {', '.join(SLOPE_NAMES)}",
+        "module = latgon.slope",
+        "same = [name for name in " + repr(SLOPE_NAMES),
+        "        if globals()[name] is getattr(module, name)]",
+        "try:",
+        "    latgon.no_such_name",
+        "    missing = None",
+        "except AttributeError as exc:",
+        "    missing = str(exc)",
+        "star = {}",
+        "exec('from latgon import *', star)",
+        "print(json.dumps({'loaded': loaded, 'same': same,",
+        "                  'module': module is sys.modules['latgon.slope'],",
+        "                  'dir': dir(latgon), 'star': sorted(star),",
+        "                  'missing': missing}))",
+    ])
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["loaded"]
+    assert out["same"] == list(SLOPE_NAMES)
+    assert out["module"]
+    assert set(SLOPE_NAMES) | {"slope"} <= set(out["dir"])
+    assert set(SLOPE_NAMES) | {"slope"} <= set(out["star"])
+    assert out["missing"] == "module 'latgon' has no attribute 'no_such_name'"
+
+
 @pytest.mark.parametrize("patch, slopes, splits, law", [
     ("right = slope.check_slp_witness\n"
      "slope.check_slp_witness = lambda q, **kw: right(q, **kw) + 1",
@@ -406,11 +447,7 @@ def test_fuzz_suite_laws_fire_under_optimize(patch, slopes, splits, law):
         f"out = slope.run_fuzz_suite(0, {slopes}, {splits})",
         "print(json.dumps({'optimize': sys.flags.optimize, **out}))",
     ])
-    src = os.path.dirname(os.path.dirname(latgon.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1

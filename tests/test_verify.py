@@ -6,16 +6,13 @@ it.  Campaign results on small regions are frozen after hand inspection.
 """
 
 import json
-import os
 import pickle
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
 
 from conftest import (convex_polygons_dfs, convex_polygons_powerset,
-                      fail_lift_on_call)
+                      fail_lift_on_call, run_python)
 from latgon import (
     REGION_PRESETS,
     BoundReport,
@@ -379,11 +376,7 @@ def test_enumerator_recheck_fires(monkeypatch):
         "except InvariantViolation as exc:",
         "    print(sys.flags.optimize, exc)",
     ])
-    src = os.path.dirname(os.path.dirname(sys.modules["latgon"].__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 ((")
     assert ") meets Lattice2" in proc.stdout
@@ -484,6 +477,34 @@ def test_campaign_workers_agree(campaign):
     # Pool tasks run ahead of the merge; the report (and the corpus tally)
     # must still be the serial one, also when the budget runs out.
     assert campaign(2) == campaign(1)
+
+
+def test_one_worker_campaigns_load_neither_slope_nor_pool():
+    """A one-worker bound or corpus campaign, in a fresh interpreter, loads
+    neither the slope layer nor multiprocessing; at two workers the bound
+    campaign loads the pool and reports what it reports at one."""
+    code = "\n".join([
+        "import json, sys",
+        "from dataclasses import asdict",
+        "from latgon import (SearchRegion, check_vertex_bound,",
+        "                    verify_reduction_corpus)",
+        "region = SearchRegion(-1, 2, -1, 2)",
+        "one = check_vertex_bound(3, 'any', None, region)",
+        "report, tally = verify_reduction_corpus(3, SearchRegion(-1, 2, -1, 1))",
+        "unloaded = {'latgon.slope', 'multiprocessing'} - set(sys.modules)",
+        "two = check_vertex_bound(3, 'any', None, region, workers=2)",
+        "print(json.dumps({'unloaded': sorted(unloaded),",
+        "                  'pool': 'multiprocessing' in sys.modules,",
+        "                  'one': asdict(one), 'two': asdict(two),",
+        "                  'corpus': tally['total']}))",
+    ])
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["unloaded"] == ["latgon.slope", "multiprocessing"]
+    assert out["pool"]
+    assert out["one"]["nodes_explored"] > 0 and out["corpus"] > 0
+    assert out["two"] == out["one"]
 
 
 def test_check_main_theorem_budget_marks_non_exhaustive():
@@ -654,11 +675,7 @@ def test_corpus_counts_broken_pipelines_under_optimize():
         "print(json.dumps({'optimize': sys.flags.optimize, 'tally': tally,",
         "                  'failed': len(report.counterexamples)}))",
     ])
-    src = os.path.dirname(os.path.dirname(sys.modules["latgon"].__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     tally = out["tally"]
