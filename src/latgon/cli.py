@@ -66,6 +66,18 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
+def _at_least(k: int):
+    """An argparse type: an integer of at least k."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = "int"  # names the type in argparse's "invalid" message
+    return parse
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -124,10 +136,10 @@ def _add_region_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser, workers: bool = True) -> None:
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_at_least(0), default=None,
                    help="chain-prefix node budget (default 10^8)")
     if workers:
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_at_least(1), default=1,
                        help="worker processes (output is identical for any "
                             "count)")
 
@@ -243,6 +255,8 @@ def _cmd_enumerate(ns) -> int:
 
 
 def _cmd_slope_check(ns) -> int:
+    if ns.frame is not None and ns.slope is None:
+        raise _InputError("slope-check --frame needs --slope")
     if ns.slope is not None:
         slope_obj = _load_json(ns.slope, "slope")
         try:
@@ -271,6 +285,11 @@ def _cmd_slope_check(ns) -> int:
 
 
 def _cmd_render(ns) -> int:
+    if ns.trace is not None and (ns.tag, ns.n, ns.lattice) != (None,) * 3:
+        raise _InputError("render --trace takes no --tag, --n or --lattice: "
+                          "a trace is drawn as recorded")
+    if ns.tag is not None and (ns.n or 0) < 2:
+        raise _InputError("render --tag needs --n of at least 2")
     if ns.trace is not None:
         trace = decode_trace(_load_json(ns.trace, "trace"))
         svg = render_trace_svg(trace)
@@ -303,7 +322,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="name a free polygon's type")
     p.add_argument("--n", type=int, required=True, help="lattice scale")
     p.add_argument("--polygon", required=True, help="polygon JSON")
-    p.add_argument("--bound", type=int, default=6,
+    p.add_argument("--bound", type=_at_least(0), default=6,
                    help="shear-generator search bound")
     p.set_defaults(func=_cmd_classify)
 
@@ -358,12 +377,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream convex lattice polygons "
                                          "as JSON lines")
-    p.add_argument("--min-vertices", type=int, default=3)
-    p.add_argument("--avoid", default=None,
-                   help='lattice JSON {"basis": [[..],[..]]}; only polygons '
-                        "free of it are kept, one per translation class")
-    p.add_argument("--avoid-scale", type=int, default=None,
-                   help="shorthand for avoiding k*Z^2")
+    p.add_argument("--min-vertices", type=_at_least(0), default=3)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--avoid", default=None,
+                       help='lattice JSON {"basis": [[..],[..]]}; only '
+                            "polygons free of it are kept, one per "
+                            "translation class")
+    group.add_argument("--avoid-scale", type=int, default=None,
+                       help="shorthand for avoiding k*Z^2")
     _add_region_flags(p)
     _add_budget_flags(p, workers=False)
     p.set_defaults(func=_cmd_enumerate)
@@ -376,16 +397,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0,
                    help="suite RNG seed (stdlib Mersenne Twister; fixed "
                         "seed replays exactly)")
-    p.add_argument("--slopes", type=int, default=10000,
+    p.add_argument("--slopes", type=_at_least(0), default=10000,
                    help="random slopes to test in suite mode")
-    p.add_argument("--splits", type=int, default=10000,
+    p.add_argument("--splits", type=_at_least(0), default=10000,
                    help="random split configurations to test in suite mode")
     p.set_defaults(func=_cmd_slope_check)
 
     p = sub.add_parser("render", help="draw a polygon or a reduction trace "
                                       "as SVG")
-    p.add_argument("--polygon", default=None)
-    p.add_argument("--trace", default=None, help="reduction trace JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--polygon", default=None)
+    group.add_argument("--trace", default=None, help="reduction trace JSON")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tag", choices=TAG_ORDER, default=None,
                    help="overlay this type's defining segments")
@@ -398,35 +420,11 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _InputError as exc:
-        _note(f"error: {exc}")
-        return 1
+        ns = _build_parser().parse_args(argv)
+        return ns.func(ns)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    if (getattr(ns, "budget", None) or 0) < 0:
-        _note("error: --budget must be at least 0")
-        return 1
-    if getattr(ns, "bound", 0) < 0:
-        _note("error: --bound must be at least 0")
-        return 1
-    if getattr(ns, "workers", 1) < 1:
-        _note("error: --workers must be at least 1")
-        return 1
-    if ns.subcommand == "render" and (ns.polygon is None) == (ns.trace is None):
-        _note("error: render needs exactly one of --polygon / --trace")
-        return 1
-    if ns.subcommand == "render" and ns.trace is not None and (
-            ns.tag, ns.n, ns.lattice) != (None, None, None):
-        _note("error: render --trace takes no --tag, --n or --lattice")
-        return 1
-    if ns.subcommand == "render" and ns.tag is not None and (ns.n or 0) < 2:
-        _note("error: render --tag needs --n of at least 2")
-        return 1
-    try:
-        return ns.func(ns)
     except _InputError as exc:
         _note(f"error: {exc}")
         return 1

@@ -335,17 +335,22 @@ def test_render_to_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param(("render",), id="argv0"),  # neither input
+        pytest.param(("render",),
+                     "one of the arguments --polygon --trace is required",
+                     id="argv0"),  # neither input
         pytest.param(("render", "--polygon", "[[0,1],[1,0],[1,1]]",
-                      "--trace", "{}"), id="argv1"),  # both inputs
+                      "--trace", "{}"),
+                     "argument --trace: not allowed with argument --polygon",
+                     id="argv1"),  # both inputs
     ],
 )
-def test_render_needs_exactly_one_input(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert "exactly one" in err
+def test_render_needs_exactly_one_input(capsys, argv, message):
+    """--polygon and --trace form a required mutually exclusive group."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_type_gallery_names_a_stale_example_under_optimize(tmp_path):
@@ -480,6 +485,23 @@ def test_polygon_not_free_is_input_error(capsys):
         pytest.param(("classify", "--n", "3", "--bound", "-1",
                       "--polygon", "[[1,1],[2,1],[2,2],[1,2]]"),
                      id="classify-bound-below-0"),
+        # the fuzz suite's counts and the least polygon size are at least 0
+        pytest.param(("slope-check", "--slopes", "-5"),
+                     id="slope-check-slopes-below-0"),
+        pytest.param(("slope-check", "--splits", "-1"),
+                     id="slope-check-splits-below-0"),
+        pytest.param(("enumerate", "--region", "0,1,0,1",
+                      "--min-vertices", "-3"),
+                     id="enumerate-min-vertices-below-0"),
+        # one lattice to avoid, and a frame only tests a given slope
+        pytest.param(("enumerate", "--region", "0,3,0,3",
+                      "--avoid", '{"basis":[[2,0],[0,2]]}',
+                      "--avoid-scale", "5"),
+                     id="enumerate-avoid-and-avoid-scale"),
+        pytest.param(("slope-check",
+                      "--frame", '{"origin":[0,0],"basis":{"f1":[1,0],'
+                                 '"f2":[0,1]}}'),
+                     id="slope-check-frame-without-slope"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -487,6 +509,26 @@ def test_usage_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # classify's shear search stops at its bound
+        pytest.param(("classify", "--n", "3", "--bound", "0",
+                      "--polygon", "[[2,1],[1,-2],[-1,-1]]"),
+                     "search limit", id="classify-bound-0"),
+        # the witness search runs out of nodes before a witness
+        pytest.param(("witness", "--delta", "1", "--n", "3",
+                      "--region=-3,6,-3,6", "--budget", "10"),
+                     "node budget exceeded after 11 nodes",
+                     id="witness-budget-10"),
+    ],
+)
+def test_search_cut_short_exits_three(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_help_exits_zero(capsys):

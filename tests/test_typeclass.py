@@ -290,6 +290,8 @@ def test_lift_identity_when_already_lifted():
                      id="vertices1-2-n >= 3"),
         pytest.param([(-1, -1), (1, 0), (0, 1)], 3, "not free",
                      id="vertices2-3-not free"),
+        pytest.param([(-2, -1), (-1, 1), (-1, -1)], 3,
+                     "north segment does not split", id="north-segment"),
     ],
 )
 def test_lift_rejects_bad_input(vertices, n, message):
@@ -609,6 +611,21 @@ def test_reduce_type_iv_skew():
 def test_reducers_reject_wrong_type(reducer, vertices, n):
     with pytest.raises(ValueError, match="not of type"):
         reducer(from_points(vertices), n)
+
+
+@pytest.mark.parametrize(
+    "reducer, n, min_scale",
+    [
+        pytest.param(reduce_type_v, 2, 3, id="reduce_type_v"),
+        pytest.param(reduce_type_vi, 2, 3, id="reduce_type_vi"),
+        pytest.param(reduce_type_iv, 1, 2, id="reduce_type_iv"),
+    ],
+)
+def test_reducers_reject_small_scale(reducer, n, min_scale):
+    """The scale is checked before the type."""
+    with pytest.raises(ValueError, match=f"reductions need scale "
+                                         f"n >= {min_scale}, got {n}"):
+        reducer(TRIANGLE, n)
 
 
 def test_reductions_on_random_instances(rng, pool3):

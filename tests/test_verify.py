@@ -49,6 +49,7 @@ from latgon.verify import (
     _lattice_family,
     _max_kernel,
     _reduces,
+    _reverify,
     _Search,
     _triangle_has_point,
 )
@@ -530,6 +531,12 @@ def test_check_main_theorem_validation(delta, n):
             campaign(delta, n, SearchRegion(0, 3, 0, 3))
 
 
+def test_sharpness_witness_budget_exceeded():
+    with pytest.raises(BudgetExceededError) as exc:
+        find_sharpness_witness(1, 3, SearchRegion(-3, 6, -3, 6), budget=10)
+    assert exc.value.nodes == 11
+
+
 def test_sharpness_witness_found():
     w = find_sharpness_witness(2, 2, SearchRegion(0, 6, 0, 6))
     assert w is not None
@@ -606,10 +613,12 @@ def tagged_stream_24():
 def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     """The campaign tests each polygon with the tag's position predicate
     alone; the public type_predicate, freeness test included, must pick the
-    same first largest polygon out of the stream."""
+    same first largest polygon out of the stream, and, below its size, the
+    same polygons over the limit."""
+    matches = [P for P in tagged_stream_24 if type_predicate(P, 3, tag)]
     best = None
-    for P in tagged_stream_24:
-        if type_predicate(P, 3, tag) and (best is None or len(P) > len(best)):
+    for P in matches:
+        if best is None or len(P) > len(best):
             best = P
     # The region holds every type but IV.
     assert (best is None) is (tag == "IV")
@@ -618,6 +627,22 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
                                     workers=workers)
         assert report.max_vertices_found == (len(best) if best else 0)
         assert report.witness == best
+    # A limit one below the largest size sends the largest polygons down
+    # the over-limit path: each is re-verified and reported.
+    limit = len(best) - 1 if best else 0
+    search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
+                     None)
+    kernel_best, over = _max_kernel(iter(tagged_stream_24), search, 3, tag,
+                                    limit)
+    assert kernel_best == best
+    assert over == [P for P in matches if len(P) > limit]
+    assert (len(over) > 0) is (tag != "IV")
+
+
+def test_reverify_rejects_a_polygon_meeting_the_lattice():
+    P = from_points([(-1, -1), (1, 0), (0, 1)])  # holds the origin
+    for tag in ("any", "V"):
+        assert not _reverify(P, scaled_lattice(3), 3, tag)
 
 
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
