@@ -28,13 +28,6 @@ from .jsonio import (
 )
 from .lattice import InvariantFactors, scaled_lattice
 from .polygon import LatticePolygon, from_points
-from .slope import (
-    SlopeError,
-    WitnessNotFound,
-    check_th36_witness,
-    frame_splits,
-    run_fuzz_suite,
-)
 from .svg import render_polygon_svg, render_trace_svg
 from .typeclass import (
     PIPELINES,
@@ -42,7 +35,7 @@ from .typeclass import (
     InvariantViolation,
     classify,
     lift,
-    type_predicate,
+    polygon_types,
 )
 from .verify import (
     REGION_PRESETS,
@@ -177,7 +170,8 @@ def _cmd_lift(ns) -> int:
 def _cmd_reduce(ns) -> int:
     P = _parse_polygon(ns.polygon)
     kinds = tuple(PIPELINES) if ns.kind == "auto" else (ns.kind,)
-    kind = next((k for k in kinds if type_predicate(P, ns.n, k)), None)
+    types = polygon_types(P, ns.n)
+    kind = next((k for k in kinds if k in types), None)
     if kind is None:
         raise _InputError(f"polygon is not of type {' or '.join(kinds)} "
                           f"at scale {ns.n}")
@@ -257,6 +251,12 @@ def _cmd_enumerate(ns) -> int:
 def _cmd_slope_check(ns) -> int:
     if ns.frame is not None and ns.slope is None:
         raise _InputError("slope-check --frame needs --slope")
+    if ns.slope is not None and (ns.seed, ns.slopes, ns.splits) != (None,) * 3:
+        raise _InputError("slope-check --slope takes no --seed, --slopes or "
+                          "--splits: they set the fuzz suite")
+    # Only this subcommand uses the slope layer, so it loads here.
+    from .slope import (SlopeError, check_th36_witness, frame_splits,
+                        run_fuzz_suite)
     if ns.slope is not None:
         slope_obj = _load_json(ns.slope, "slope")
         try:
@@ -277,10 +277,12 @@ def _cmd_slope_check(ns) -> int:
         _emit(result)
         _note("slope valid")
         return 0
-    suite = run_fuzz_suite(ns.seed, ns.slopes, ns.splits)
+    seed = 0 if ns.seed is None else ns.seed
+    suite = run_fuzz_suite(seed, 10000 if ns.slopes is None else ns.slopes,
+                           10000 if ns.splits is None else ns.splits)
     _emit(suite)
     failures = len(suite["failures"])
-    _note(f"seed {ns.seed}: {suite['counts']} — {failures} failures")
+    _note(f"seed {seed}: {suite['counts']} — {failures} failures")
     return 2 if failures else 0
 
 
@@ -394,13 +396,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--slope", default=None, help="slope JSON to validate")
     p.add_argument("--frame", default=None,
                    help="frame JSON; with --slope, also test the split")
-    p.add_argument("--seed", type=int, default=0,
-                   help="suite RNG seed (stdlib Mersenne Twister; fixed "
-                        "seed replays exactly)")
-    p.add_argument("--slopes", type=_at_least(0), default=10000,
-                   help="random slopes to test in suite mode")
-    p.add_argument("--splits", type=_at_least(0), default=10000,
-                   help="random split configurations to test in suite mode")
+    p.add_argument("--seed", type=int, default=None,
+                   help="suite RNG seed, default 0 (stdlib Mersenne "
+                        "Twister; fixed seed replays exactly)")
+    p.add_argument("--slopes", type=_at_least(0), default=None,
+                   help="random slopes to test in suite mode (default "
+                        "10000)")
+    p.add_argument("--splits", type=_at_least(0), default=None,
+                   help="random split configurations to test in suite mode "
+                        "(default 10000)")
     p.set_defaults(func=_cmd_slope_check)
 
     p = sub.add_parser("render", help="draw a polygon or a reduction trace "
@@ -431,7 +435,7 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _note(f"error: node budget exceeded after {exc.nodes} nodes")
         return 3
-    except (WitnessNotFound, InvariantViolation) as exc:
+    except InvariantViolation as exc:  # WitnessNotFound among them
         _note(f"counterexample: {exc}")
         return 2
     except (ValueError, KeyError, TypeError) as exc:

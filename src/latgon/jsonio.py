@@ -15,9 +15,10 @@ than being truncated.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .lattice import AffineMap, Lattice2, UnimodularMap, Vec, hnf_canonicalize
 from .polygon import LatticePolygon
-from .slope import Frame, SignedBasis, Slope
 from .typeclass import (
     InvariantViolation,
     PolygonType,
@@ -25,6 +26,9 @@ from .typeclass import (
     ReductionTrace,
     _check_trace,
 )
+
+if TYPE_CHECKING:
+    from .slope import Frame, SignedBasis, Slope
 
 
 def _int(v) -> int:
@@ -105,14 +109,20 @@ def decode_trace(obj: dict) -> ReductionTrace:
     return trace
 
 
+# The slope layer loads with the first slope or frame decoded, not with
+# this module.
+
 def _decode_basis(obj: dict) -> SignedBasis:
+    from .slope import SignedBasis
     return SignedBasis(decode_vec(obj["f1"]), decode_vec(obj["f2"]))
 
 
 def decode_slope(obj: dict) -> Slope:
+    from .slope import Slope
     return Slope(_decode_basis(obj["basis"]),
                  tuple(map(decode_vec, obj["vertices"])))
 
 
 def decode_frame(obj: dict) -> Frame:
+    from .slope import Frame
     return Frame(decode_vec(obj["origin"]), _decode_basis(obj["basis"]))

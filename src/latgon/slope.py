@@ -37,8 +37,9 @@ class SlopeError(ValueError):
         self.violated = violated
 
 
-class WitnessNotFound(Exception):
-    """No witness exists in the search region: a refutation or a bug."""
+class WitnessNotFound(InvariantViolation):
+    """No witness exists in the search region: a refutation or a bug, so a
+    broken law like any other InvariantViolation."""
 
 
 @dataclass(frozen=True)

@@ -315,35 +315,51 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
 # ---------------------------------------------------------------------------
 # Reductions
 
-def _check_trace(trace: ReductionTrace) -> None:
-    lat = scaled_lattice(trace.n)
-    cur = trace.source
-    if not is_free_of(cur, lat):
-        raise InvariantViolation("trace source is not free of the lattice")
-    for step in trace.steps:
-        if not step.map.is_automorphism_of(lat):
-            raise InvariantViolation(
-                f"step {step.label} is not an automorphism of {lat}")
-        cur = transform(cur, step.map)
-        if not is_free_of(cur, lat):
-            raise InvariantViolation(f"freeness lost after step {step.label}")
-        if len(cur) != len(trace.source):
-            raise InvariantViolation("vertex count changed")
-    if cur != trace.result:
-        raise InvariantViolation("trace does not replay to its result")
+def _proven_image(cur: LatticePolygon, step: ReductionStep, n: int,
+                  image: LatticePolygon | None = None) -> LatticePolygon:
+    """`cur`'s image under `step`, proven: the map is an automorphism of
+    nZ^2, and the image (built here unless given) is free of nZ^2 with as
+    many vertices as `cur`."""
+    lat = scaled_lattice(n)
+    if not step.map.is_automorphism_of(lat):
+        raise InvariantViolation(
+            f"step {step.label} is not an automorphism of {lat}")
+    if image is None:
+        image = transform(cur, step.map)
+    if not is_free_of(image, lat):
+        raise InvariantViolation(f"freeness lost after step {step.label}")
+    if len(image) != len(cur):
+        raise InvariantViolation(f"step {step.label} changed the vertex count")
+    return image
+
+
+def _check_result(trace: ReductionTrace) -> None:
+    """The composed map carries the source to the result, which has its
+    type; the result's freeness is already proven, step by step."""
     if transform(trace.source, trace.composed_map()) != trace.result:
         raise InvariantViolation("composed map misses the result")
-    if not type_predicate(trace.result, trace.n, trace.result_type.tag):
-        raise InvariantViolation(
-            f"result fails the {trace.result_type.tag} predicate")
+    result, tag = trace.result, trace.result_type.tag
+    if not _has_type(result.vertices, result.bounding_box(), trace.n, tag):
+        raise InvariantViolation(f"result fails the {tag} predicate")
+
+
+def _check_trace(trace: ReductionTrace) -> None:
+    """Prove a decoded trace: its source is free of nZ^2, and its steps are
+    replayed through _proven_image before _check_result closes it."""
+    if not is_free_of(trace.source, scaled_lattice(trace.n)):
+        raise InvariantViolation("trace source is not free of the lattice")
+    cur = trace.source
+    for step in trace.steps:
+        cur = _proven_image(cur, step, trace.n)
+    _check_result(trace)
 
 
 class _Recorder:
     """One reduction in progress: its source, its steps and where they lead.
 
-    The constructor checks the scale and the source type; `apply` records a
-    step and moves the current polygon together, and `finish` checks the
-    trace it returns.
+    The constructor checks the scale and the source type (so its freeness);
+    each step is proven through _proven_image as it is recorded, and
+    `finish` closes the trace with _check_result.
     """
 
     def __init__(self, P: LatticePolygon, n: int, tag: str,
@@ -357,9 +373,11 @@ class _Recorder:
         self.n = n
         self.steps: list[ReductionStep] = []
 
-    def apply(self, label: str, m: AffineMap) -> None:
-        self.steps.append(ReductionStep(label, m))
-        self.cur = transform(self.cur, m)
+    def apply(self, label: str, m: AffineMap, shear: int | None = None,
+              image: LatticePolygon | None = None) -> None:
+        step = ReductionStep(label, m, shear)
+        self.cur = _proven_image(self.cur, step, self.n, image)
+        self.steps.append(step)
 
     def lift(self) -> int:
         """Lift the current polygon and return a0; only a0 > 0 is recorded.
@@ -372,14 +390,13 @@ class _Recorder:
         except ValueError as exc:
             raise InvariantViolation(f"lift: {exc}") from exc
         if a0 > 0:
-            self.steps.append(ReductionStep("lift", m, a0))
-            self.cur = lifted
+            self.apply("lift", m, a0, lifted)
         return a0
 
     def finish(self, tag: str) -> ReductionTrace:
         trace = ReductionTrace(self.source, self.n, tuple(self.steps),
                                self.cur, PolygonType(tag, self.n))
-        _check_trace(trace)
+        _check_result(trace)
         return trace
 
 
@@ -451,8 +468,9 @@ def reduce_type_iv(P: LatticePolygon, n: int) -> ReductionTrace:
         return rec.finish("IV")
     rec.apply("skew-reflect",
               AffineMap(UnimodularMap(((-1, 1), (0, 1))), (n, 0)))
+    vs, box = rec.cur.vertices, rec.cur.bounding_box()
     for tag in ("II", "III"):
-        if type_predicate(rec.cur, n, tag):
+        if _has_type(vs, box, n, tag):
             return rec.finish(tag)
     raise InvariantViolation(
         "type IV image is neither II nor III: bug or counterexample")

@@ -31,7 +31,9 @@ budget stops and the emitted stream are those of walking every ray afresh
 at every node.  The search carries each chain's bounding box down with it,
 and a closed chain is tested for dedup on that box before it is built, each
 box's verdict computed once per anchor; only the polygons that pass are
-built as checked polygons and re-checked against the lattice.
+built as checked polygons and re-checked against the lattice by the column
+scan of `is_free_of`, a route apart from the fan-triangle test.  That is
+the one re-check: no campaign kernel repeats it or the constructor's.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -66,7 +68,6 @@ from .typeclass import (
     PolygonType,
     _classify_core,
     _has_type,
-    type_predicate,
 )
 
 #: Default chain-prefix node budget for a single campaign.
@@ -600,14 +601,11 @@ def _vertex_bound(n: int, factors: InvariantFactors | None) -> int:
 
 def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
                 tag: str, limit: int):
-    """The first largest polygon carrying `tag`, and every re-verified one
-    with more than `limit` vertices.
+    """The first largest polygon carrying `tag`, and every one with more
+    than `limit` vertices.
 
-    A tagged search avoids nZ^2, and the enumerator has re-checked every
-    polygon it emits against that lattice, so each polygon is tested with
-    typeclass._has_type alone, not with type_predicate, whose freeness test
-    could decide nothing here.  The search's lattice is checked once, up
-    front.
+    A tagged search avoids nZ^2, checked once, up front, and each polygon
+    is tested with typeclass._has_type, without a freeness test.
     """
     tagged = tag != "any"
     if tagged and search.avoid != scaled_lattice(n):
@@ -621,7 +619,7 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
         size = len(vs)
         if size > best_size:
             best, best_size = poly, size
-        if size > limit and _reverify(poly, search.avoid, n, tag):
+        if size > limit:
             over.append(poly)
     return best, over
 
@@ -675,16 +673,6 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
                        searches, (n, tag, bound), budget, workers)
 
 
-def _reverify(poly: LatticePolygon, avoid: Lattice2, n: int, tag: str) -> bool:
-    """Independent re-check of a counterexample before it is reported."""
-    LatticePolygon(poly.vertices)  # convexity / canonical form
-    if not is_free_of(poly, avoid):
-        return False
-    if tag != "any":
-        return type_predicate(poly, n, tag)
-    return True
-
-
 def check_main_theorem(delta: int, n: int, region: SearchRegion,
                        budget: int | None = None,
                        workers: int = 1) -> BoundReport:
@@ -693,7 +681,7 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
     For every canonical lattice with invariant factors (delta, n), enumerates
     the lattice-free polygons of the region up to lattice translation; any
     free polygon reaching capture_threshold(delta, n) vertices refutes the
-    claim and is reported (after independent re-verification).
+    claim and is reported.
     """
     searches = [_Search(region, 3, lat, True, None)
                 for lat in _lattice_family(delta, n)]
@@ -705,13 +693,7 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
 def _first_kernel(polygons: Iterator[LatticePolygon], search: _Search,
                   size: int) -> LatticePolygon | None:
     """The first polygon with exactly `size` vertices, if any."""
-    for poly in polygons:
-        if len(poly) == size:
-            if not is_free_of(poly, search.avoid):
-                raise InvariantViolation(
-                    f"witness {poly.vertices} meets {search.avoid}")
-            return poly
-    return None
+    return next((poly for poly in polygons if len(poly) == size), None)
 
 
 def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
@@ -759,12 +741,11 @@ def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
                    n: int):
     """Classify each polygon and run its reduction pipeline.
 
-    The search avoids nZ^2, checked once up front, and the enumerator has
-    re-checked every polygon it emits against that lattice; so each polygon
-    goes to classify's search core without classify's own freeness test,
-    and only its classified image, not the map, is kept.  Each distinct
-    image of type V, VI or IV is reduced once, through _reduces, and every
-    polygon classified to it gets that outcome.
+    The search avoids nZ^2, checked once up front, so each polygon goes to
+    classify's search core without classify's own freeness test, and only
+    its classified image, not the map, is kept.  Each distinct image of
+    type V, VI or IV is reduced once, through _reduces, and every polygon
+    classified to it gets that outcome.
 
     Returns the tally, the polygons that failed, and the largest size seen.
     """
@@ -798,9 +779,9 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
 
     Every enumerated polygon must classify within the default search bound;
     whenever the classification lands on type V or VI (or the terminal IV),
-    the classified image is pushed through its reduction pipeline, whose own
-    checks re-verify each result (also under -O).  Each distinct image is
-    reduced once and its outcome shared by every polygon classified to it;
+    the classified image is pushed through its reduction pipeline, which
+    proves each step as it records it (also under -O).  Each distinct image
+    is reduced once and its outcome shared by every polygon classified to it;
     the cache that holds those outcomes is cleared here, before any pool
     worker starts, so a campaign never reads an outcome computed before it
     began.  A polygon whose classification or pipeline fails is a

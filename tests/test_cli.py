@@ -19,6 +19,9 @@ from latgon.cli import run
 from latgon.jsonio import decode_trace, encode_trace
 
 
+#: A valid slope and a frame it splits.
+SLOPE = '{"basis":{"f1":[1,0],"f2":[0,1]},"vertices":[[-1,2],[2,-1]]}'
+FRAME = '{"origin":[0,0],"basis":{"f1":[1,0],"f2":[0,1]}}'
 #: `latgon reduce --n 3 --polygon [[-2,-1],[-1,2],[1,1]]`, as printed.
 TRIANGLE_TRACE = (
     '{"n":3,"result":{"vertices":[[1,2],[4,1],[2,4]]},'
@@ -260,11 +263,8 @@ def test_enumerate_avoid_scale(capsys):
 
 
 def test_slope_check_single_slope_with_frame(capsys):
-    code, out, _ = run_cli(
-        capsys, "slope-check",
-        "--slope", '{"basis":{"f1":[1,0],"f2":[0,1]},"vertices":[[-1,2],[2,-1]]}',
-        "--frame", '{"origin":[0,0],"basis":{"f1":[1,0],"f2":[0,1]}}',
-    )
+    code, out, _ = run_cli(capsys, "slope-check", "--slope", SLOPE,
+                           "--frame", FRAME)
     assert code == 0
     assert out == (
         '{"edge_count":1,"split_witness":[0,0],"splits":true,'
@@ -296,6 +296,42 @@ def test_slope_check_fuzz_suite(capsys):
     again = run_cli(capsys, "slope-check", "--seed", "7", "--slopes", "200",
                     "--splits", "200")
     assert again == (code, out, err)
+
+
+def test_cli_loads_the_slope_layer_only_for_slope_check():
+    """In a fresh interpreter, importing latgon.cli and running a campaign
+    leaves the slope layer unloaded; slope-check then loads it and runs,
+    and a refuted witness still exits 2 with a counterexample line."""
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "import latgon.cli as cli",
+        "def run(*argv):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), \\",
+        "            contextlib.redirect_stderr(err):",
+        "        code = cli.run(list(argv))",
+        "    return code, out.getvalue(), err.getvalue()",
+        "bound = run('verify-bound', '--n', '3', '--region=-1,2,-1,2')",
+        "loaded = 'latgon.slope' in sys.modules",
+        "suite = run('slope-check', '--seed', '7', '--slopes', '20',",
+        "            '--splits', '20')",
+        "import latgon.slope as slope",
+        "def refuted(f, q):",
+        "    raise slope.WitnessNotFound('refuted')",
+        "slope.check_th36_witness = refuted",
+        f"witness = run('slope-check', '--slope', {SLOPE!r},",
+        f"              '--frame', {FRAME!r})",
+        "print(json.dumps({'loaded': loaded, 'bound': bound,",
+        "                  'suite': suite, 'witness': witness}))",
+    ])
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["loaded"]
+    assert out["bound"][0] == 0
+    code, suite, _ = out["suite"]
+    assert code == 0 and json.loads(suite)["counts"]["slopes"] == 20
+    assert out["witness"] == [2, "", "counterexample: refuted\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +538,10 @@ def test_polygon_not_free_is_input_error(capsys):
                       "--frame", '{"origin":[0,0],"basis":{"f1":[1,0],'
                                  '"f2":[0,1]}}'),
                      id="slope-check-frame-without-slope"),
+        # the suite's flags do not apply to a given slope
+        *(pytest.param(("slope-check", "--slope", SLOPE, flag, "5"),
+                       id=f"slope-check-slope-with-{flag[2:]}")
+          for flag in ("--seed", "--slopes", "--splits")),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -4,6 +4,7 @@ Expected traces and images below were worked out by hand, applying the maps
 to the vertex lists step by step, before being frozen into assertions.
 """
 
+import json
 import random
 import re
 from collections import Counter, deque
@@ -11,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_polygon
+from conftest import random_polygon, run_python
 from latgon import (
     TAG_ORDER,
     AffineMap,
@@ -36,6 +37,7 @@ from latgon import (
     transform,
     type_predicate,
 )
+from latgon import typeclass
 from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
@@ -505,6 +507,47 @@ def test_reduce_type_v_composed_map():
     trace = reduce_type_v(TRIANGLE, 3)
     assert trace.composed_map().linear.rows == ((0, -1), (1, 0))
     assert trace.composed_map().shift == (3, 3)
+
+
+def test_reduction_scans_each_image_for_freeness_once(monkeypatch):
+    """A reduction scans its source once (for its type), each lift's input
+    once, and each recorded step's image once, and finishing scans nothing
+    more: TRIANGLE's two identity lifts and two steps make five scans."""
+    scans = []
+    real = typeclass.is_free_of
+    monkeypatch.setattr(typeclass, "is_free_of",
+                        lambda P, L: scans.append(P) or real(P, L))
+    trace = reduce_type_v(TRIANGLE, 3)
+    assert [s.label for s in trace.steps] == ["reflect", "flip"]
+    assert len(scans) == 5
+    assert scans[0] == TRIANGLE and scans[-1] == trace.result
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)],
+                         ids=["asserts-on", "asserts-off"])
+def test_a_step_off_the_lattice_fails_where_it_is_recorded(flags):
+    """A reflection shifted off nZ^2 is caught when the V pipeline records
+    it, and the error names that step, with asserts on or off."""
+    code = "\n".join([
+        "import json, sys",
+        "import latgon.typeclass as typeclass",
+        "from latgon import (AffineMap, InvariantViolation, UnimodularMap,",
+        "                    from_points)",
+        "typeclass._REFLECT_ANTIDIAGONAL = AffineMap(",
+        "    UnimodularMap(((0, -1), (-1, 0))), (1, 0))",
+        "P = from_points([(-2, -1), (-1, 2), (1, 1)])",
+        "try:",
+        "    typeclass.reduce_type_v(P, 3)",
+        "    error = None",
+        "except InvariantViolation as exc:",
+        "    error = str(exc)",
+        "print(json.dumps({'optimize': sys.flags.optimize, 'error': error}))",
+    ])
+    proc = run_python(code, *flags)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == len(flags)
+    assert out["error"].startswith("step reflect is not an automorphism")
 
 
 @pytest.mark.parametrize(

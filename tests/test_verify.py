@@ -49,7 +49,6 @@ from latgon.verify import (
     _lattice_family,
     _max_kernel,
     _reduces,
-    _reverify,
     _Search,
     _triangle_has_point,
 )
@@ -628,7 +627,7 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
         assert report.max_vertices_found == (len(best) if best else 0)
         assert report.witness == best
     # A limit one below the largest size sends the largest polygons down
-    # the over-limit path: each is re-verified and reported.
+    # the over-limit path: each is reported.
     limit = len(best) - 1 if best else 0
     search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
                      None)
@@ -637,12 +636,6 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     assert kernel_best == best
     assert over == [P for P in matches if len(P) > limit]
     assert (len(over) > 0) is (tag != "IV")
-
-
-def test_reverify_rejects_a_polygon_meeting_the_lattice():
-    P = from_points([(-1, -1), (1, 0), (0, 1)])  # holds the origin
-    for tag in ("any", "V"):
-        assert not _reverify(P, scaled_lattice(3), 3, tag)
 
 
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
