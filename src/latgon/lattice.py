@@ -219,16 +219,11 @@ class StepProfile:
     large: int
 
 
-def step_profile(L: Lattice2, direction: Vec, companion: Vec) -> StepProfile:
-    """Steps of L along `direction`, with `companion` completing a signed basis.
-
-    The values do not depend on the companion (or on either sign); it is
-    required only so callers state the basis they are working in.
-    """
-    if direction not in SIGNED_AXES or companion not in SIGNED_AXES:
-        raise ValueError(f"not signed axes: {direction}, {companion}")
-    if direction[0] * companion[0] + direction[1] * companion[1] != 0:
-        raise ValueError(f"axes are not perpendicular: {direction}, {companion}")
+def step_profile(L: Lattice2, direction: Vec) -> StepProfile:
+    """Steps of L along the signed axis `direction`; the sign does not
+    matter."""
+    if direction not in SIGNED_AXES:
+        raise ValueError(f"not a signed axis: {direction}")
     if direction[0] != 0:  # +-e1
         small = L.p
         large = L.p * (L.r // gcd(L.q, L.r))
@@ -315,8 +310,10 @@ class AffineMap:
         return AffineMap(inv, (-sx, -sy))
 
     def is_automorphism_of(self, L: Lattice2) -> bool:
-        """True iff this map sends L-cosets to L-cosets (shift lands in L)."""
-        return contains(L, self.shift)
+        """True iff this map carries L onto itself: its shift and the images
+        of L's generators lie in L (a unimodular map into L is onto L)."""
+        return contains(L, self.shift) and all(
+            contains(L, self.linear.apply(g)) for g in L.generators())
 
     @staticmethod
     def identity() -> "AffineMap":

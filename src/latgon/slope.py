@@ -307,7 +307,7 @@ def check_slp_witness(q: Slope, vertex_lattice: Lattice2 | None = None,
         for v in q.vertices:
             if not contains(vertex_lattice, v):
                 raise ValueError(f"vertex {v} is not in {vertex_lattice}")
-        small = step_profile(vertex_lattice, q.basis.f1, q.basis.f2).small
+        small = step_profile(vertex_lattice, q.basis.f1).small
         if small > 1:
             if 2 * N <= b1:
                 return 0

@@ -21,9 +21,8 @@ def _panel(P: LatticePolygon, lattice: Lattice2 | None, tag: str | None,
     segs, lines = defining_geometry(tag, n) if tag and n else ((), ())
     xs = [v[0] for v in P.vertices] + [s.a[0] for s in segs] + [s.b[0] for s in segs]
     ys = [v[1] for v in P.vertices] + [s.a[1] for s in segs] + [s.b[1] for s in segs]
-    # Every defining line is (1, 0, c), vertical at x = c, or (0, 1, c).
-    for a, _b, c in lines:
-        (xs if a else ys).append(c)
+    for axis, c in lines:  # x = c for axis 0, y = c for axis 1
+        (ys if axis else xs).append(c)
     if n:
         xs.append(0)
         ys.append(0)
@@ -46,8 +45,8 @@ def _panel(P: LatticePolygon, lattice: Lattice2 | None, tag: str | None,
                 f'<circle cx="{sx(x)}" cy="{sy(y)}" r="1" fill="#c8c8c8"/>'
             )
     # Forbidden lines, dotted.
-    for a, _b, c in lines:
-        if a:
+    for axis, c in lines:
+        if axis == 0:
             out.append(
                 f'<line x1="{sx(c)}" y1="{sy(wy0)}" x2="{sx(c)}" y2="{sy(wy1)}" '
                 f'stroke="#888888" stroke-width="2" stroke-dasharray="3,5"/>'

@@ -12,13 +12,12 @@ automorphism group breadth-first for *some* type.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lattice import (  # InvariantViolation is re-exported from here
     AffineMap, InvariantViolation, UnimodularMap, Vec, scaled_lattice)
 from .polygon import (
-    Line,
     LatticePolygon,
     Segment,
     _box,
@@ -52,11 +51,22 @@ class PolygonType:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One recorded automorphism application; `shear` is set on lift steps."""
+    """One recorded automorphism application; a step carries a shear a
+    exactly when it is a lift, by (x, y) -> (x, y - a*x) with a >= 1."""
 
     label: str
     map: AffineMap
     shear: int | None = None
+
+    def __post_init__(self) -> None:
+        a = self.shear
+        if self.label != "lift" or a is None or a < 1:
+            valid = self.label != "lift" and a is None
+        else:
+            valid = self.map == AffineMap(UnimodularMap(((1, 0), (-a, 1))))
+        if not valid:
+            raise ValueError(f"step {self.label!r} has shear {a}: only a lift "
+                             f"by ((1, 0), (-a, 1)), a >= 1, carries one")
 
 
 @dataclass(frozen=True)
@@ -91,13 +101,22 @@ class TypeShape:
     """The lattice geometry that defines one position type at one scale.
 
     A free polygon has the type when every segment splits it, no line of
-    `unsplit` splits it and no line of `unmet` meets it.  A line (a, b, c)
-    is {a*x + b*y = c}.
+    `unsplit` splits it and no line of `unmet` meets it.  Every segment is
+    axis-parallel, and a line (axis, c) is x = c for axis 0, y = c for axis
+    1.  `straddle` = (x_lo, x_hi, y_lo, y_hi), worked out from the segments,
+    holds the least and largest c of the lines x = c and y = c they lie on.
     """
 
     segments: tuple[Segment, ...]
-    unsplit: tuple[Line, ...] = ()
-    unmet: tuple[Line, ...] = ()
+    unsplit: tuple[tuple[int, int], ...] = ()
+    unmet: tuple[tuple[int, int], ...] = ()
+    straddle: tuple[int, int, int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        xs = [s.a[0] for s in self.segments if s.a[1] != s.b[1]]
+        ys = [s.a[1] for s in self.segments if s.a[1] == s.b[1]]
+        object.__setattr__(self, "straddle",
+                           (min(xs), max(xs), min(ys), max(ys)))
 
 
 @lru_cache(maxsize=64)
@@ -108,15 +127,15 @@ def type_shape(tag: str, n: int) -> TypeShape | None:
                          Segment((0, n), (n, n)), Segment((0, 0), (0, n)))),
         "III": TypeShape((Segment((0, 0), (n, 0)), Segment((n, 0), (n, n)),
                           Segment((n, n), (0, n))),
-                         unsplit=((1, 0, 0),)),
+                         unsplit=((0, 0),)),
         "IV": TypeShape((Segment((0, 0), (0, n)), Segment((0, 0), (n, 0)),
                          Segment((n, 0), (n, n)), Segment((n, n), (2 * n, n))),
-                        unmet=((1, 0, -n), (1, 0, 2 * n))),
+                        unmet=((0, -n), (0, 2 * n))),
         "V": TypeShape((Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n))),
-                       unsplit=((1, 0, -n), (0, 1, n))),
+                       unsplit=((0, -n), (1, n))),
         "VI": TypeShape((Segment((0, 0), (-n, 0)), Segment((0, 0), (0, n)),
                          Segment((0, n), (n, n))),
-                        unsplit=((1, 0, -n), (1, 0, n))),
+                        unsplit=((0, -n), (0, n))),
     }.get(tag)
 
 
@@ -124,29 +143,6 @@ def _va_triangle(n: int) -> tuple[Vec, Vec, Vec]:
     """The corners of the Va triangle: its right angle, then the ends of its
     hypotenuse x + y = 2n."""
     return (0, 0), (2 * n, 0), (0, 2 * n)
-
-
-@lru_cache(maxsize=64)
-def _box_reads(tag: str, n: int) -> tuple:
-    """((x_lo, x_hi, y_lo, y_hi), unsplit, unmet) for type `tag` (II to VI)
-    at scale n: the least and largest c of the lines x = c and y = c of its
-    segments, then its `unsplit` and `unmet` lines as (axis, c) pairs, axis
-    0 for x = c and 1 for y = c.
-
-    A segment on y = c splits P only if south < c < north (likewise for
-    x = c), so a box must straddle every segment line: west < x_lo,
-    x_hi < east, south < y_lo and y_hi < north.  A line off the axes raises
-    ValueError.
-    """
-    shape = type_shape(tag, n)
-    for a, b, c in shape.unsplit + shape.unmet:
-        if (a, b) not in ((1, 0), (0, 1)):
-            raise ValueError(f"line {(a, b, c)} is not x = c or y = c")
-    xs = [s.a[0] for s in shape.segments if s.a[1] != s.b[1]]
-    ys = [s.a[1] for s in shape.segments if s.a[1] == s.b[1]]
-    return ((min(xs), max(xs), min(ys), max(ys)),
-            tuple((b, c) for _a, b, c in shape.unsplit),
-            tuple((b, c) for _a, b, c in shape.unmet))
 
 
 def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
@@ -157,11 +153,11 @@ def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
     I is read off the box.  So is every `unsplit` and `unmet` line of II to
     VI: a box's extremes along an axis are its polygon's, so P splits x = c
     exactly when west < c < east and meets it exactly when west <= c <=
-    east, and y = c reads south and north the same way.  Only for a box
-    that straddles every segment line and passes these reads is the polygon
-    built, and every `type_shape` segment must split it.  Va needs the box
-    on the inner side of both legs of its triangle and every vertex on or
-    below the hypotenuse.
+    east (y = c reads south and north).  A segment on y = c splits P only
+    if south < c < north, so the box must also lie across the `straddle`.
+    Only then is the polygon built and every segment tested.  Va needs the
+    box inside both legs of its triangle and every vertex on or below the
+    hypotenuse.
     """
     if tag == "I":
         return _box_is_i(box, n)
@@ -170,34 +166,35 @@ def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
         (cx, cy), (hx, hy), _ = _va_triangle(n)
         return (west >= cx and south >= cy
                 and all(x + y <= hx + hy for x, y in vs))
-    (x_lo, x_hi, y_lo, y_hi), unsplit, unmet = _box_reads(tag, n)
+    shape = type_shape(tag, n)
+    x_lo, x_hi, y_lo, y_hi = shape.straddle
     if not (west < x_lo and x_hi < east and south < y_lo and y_hi < north):
         return False
-    for axis, c in unsplit:
+    for axis, c in shape.unsplit:
         if box[2 * axis] < c < box[2 * axis + 1]:
             return False
-    for axis, c in unmet:
+    for axis, c in shape.unmet:
         if box[2 * axis] <= c <= box[2 * axis + 1]:
             return False
     P = _trusted(vs)
-    for seg in type_shape(tag, n).segments:
+    for seg in shape.segments:
         if not splits_by_segment(P, seg):
             return False
     return True
 
 
-def defining_geometry(tag: str, n: int
-                      ) -> tuple[tuple[Segment, ...], tuple[Line, ...]]:
+def defining_geometry(tag: str, n: int) -> tuple[tuple[Segment, ...],
+                                                  tuple[tuple[int, int], ...]]:
     """The segments and lines that define a type, for drawing.
 
-    Types II to VI give their `type_shape` segments and lines, Va the edges
-    of its triangle, and I nothing.
+    Types II to VI give their `type_shape` segments and (axis, c) lines, Va
+    the edges of its triangle, and I nothing.
     """
     if tag == "Va":
         a, b, c = _va_triangle(n)
         return (Segment(a, b), Segment(b, c), Segment(c, a)), ()
-    shape = type_shape(tag, n) or TypeShape(())
-    return shape.segments, shape.unsplit + shape.unmet
+    shape = type_shape(tag, n)
+    return (shape.segments, shape.unsplit + shape.unmet) if shape else ((), ())
 
 
 def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
@@ -277,6 +274,12 @@ def lift(P: LatticePolygon, n: int) -> tuple[int, LatticePolygon, AffineMap]:
         raise ValueError(f"lift needs scale n >= 3, got {n}")
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
+    return _lift(P, n)
+
+
+def _lift(P: LatticePolygon, n: int
+          ) -> tuple[int, LatticePolygon, AffineMap]:
+    """`lift` of a polygon already proven free of nZ^2, at a scale n >= 3."""
     west_seg, north_seg = type_shape("V", n).segments
     if not splits_by_segment(P, west_seg):
         raise ValueError("west segment does not split the polygon")
@@ -382,11 +385,11 @@ class _Recorder:
     def lift(self) -> int:
         """Lift the current polygon and return a0; only a0 > 0 is recorded.
 
-        The polygon is the reduction's own, not outside input, so a
-        precondition of `lift` that fails here is a broken law.
+        The polygon is the reduction's own and proven free, so `_lift`
+        skips that scan, and a failed precondition here is a broken law.
         """
         try:
-            a0, lifted, m = lift(self.cur, self.n)
+            a0, lifted, m = _lift(self.cur, self.n)
         except ValueError as exc:
             raise InvariantViolation(f"lift: {exc}") from exc
         if a0 > 0:

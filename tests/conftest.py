@@ -238,9 +238,9 @@ def corpus_04():
 
 
 def fail_lift_on_call(k, error, monkeypatch):
-    """Patch typeclass.lift, which the reductions call, to raise `error` on
-    its k-th call."""
-    real_lift, calls = typeclass.lift, [0]
+    """Patch typeclass._lift, the lift core that the reductions call, to
+    raise `error` on its k-th call."""
+    real_lift, calls = typeclass._lift, [0]
 
     def failing_lift(P, n):
         calls[0] += 1
@@ -248,7 +248,7 @@ def fail_lift_on_call(k, error, monkeypatch):
             raise error("west segment does not split the polygon")
         return real_lift(P, n)
 
-    monkeypatch.setattr(typeclass, "lift", failing_lift)
+    monkeypatch.setattr(typeclass, "_lift", failing_lift)
 
 
 def checkout_env():

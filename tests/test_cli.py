@@ -113,6 +113,24 @@ def test_decode_trace_names_the_broken_law():
                       "result_type": {"n": 3, "tag": "I"}, "steps": []})
 
 
+@pytest.mark.parametrize("trace, message", [
+    pytest.param(LIFT_TRACE.replace('"a":1,', '"a":7,'),
+                 "step 'lift' has shear 7", id="lift-shear-off-its-map"),
+    pytest.param(LIFT_TRACE.replace('{"label":"translate"',
+                                    '{"a":5,"label":"translate"'),
+                 "step 'translate' has shear 5", id="translate-with-shear"),
+    pytest.param(LIFT_TRACE.replace('"a":1,', ''),
+                 "step 'lift' has shear None", id="lift-without-shear"),
+])
+def test_render_refuses_a_shear_off_its_step(capsys, trace, message):
+    """A step carries a shear exactly when it is a lift, and then the shear
+    is its map's, so a caption never names a shear the step does not
+    apply."""
+    code, out, err = run_cli(capsys, "render", "--trace", trace)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_reduce_explicit_kind_mismatch(capsys):
     code, out, err = run_cli(
         capsys, "reduce", "--n", "3", "--kind", "VI",

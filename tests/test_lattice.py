@@ -271,8 +271,7 @@ def test_contains_closed_under_group_ops(p, q, r, c1, c2):
     (scaled_lattice(3), (-1, 0), (3, 3)),
 ])
 def test_step_profile_examples(lattice, direction, expected):
-    companion = (direction[1], direction[0])
-    profile = step_profile(lattice, direction, companion)
+    profile = step_profile(lattice, direction)
     assert (profile.small, profile.large) == expected
     assert profile.large % profile.small == 0
 
@@ -286,8 +285,7 @@ def test_step_profile_against_window_scan():
         lattice = hnf_canonicalize(m)
         pts = window_points(matrix_columns(m), 3 * lattice.determinant)
         for direction, coord in (((1, 0), 0), ((0, 1), 1)):
-            profile = step_profile(lattice, direction,
-                                   (direction[1], direction[0]))
+            profile = step_profile(lattice, direction)
             seen = 0
             for p in pts:
                 seen = gcd(seen, p[coord])
@@ -301,22 +299,21 @@ def test_step_profile_determinant_identity():
     rng = random.Random(6)
     for _ in range(200):
         lattice = hnf_canonicalize(random_matrix(rng))
-        e1_small = step_profile(lattice, (1, 0), (0, 1)).small
-        e2_large = step_profile(lattice, (0, 1), (1, 0)).large
+        e1_small = step_profile(lattice, (1, 0)).small
+        e2_large = step_profile(lattice, (0, 1)).large
         assert e1_small * e2_large == lattice.determinant
-        e2_small = step_profile(lattice, (0, 1), (-1, 0)).small
-        e1_large = step_profile(lattice, (1, 0), (0, -1)).large
+        e2_small = step_profile(lattice, (0, -1)).small
+        e1_large = step_profile(lattice, (-1, 0)).large
         assert e2_small * e1_large == lattice.determinant
 
 
-@pytest.mark.parametrize("direction, companion", [
-    ((1, 1), (0, 1)),
-    ((1, 0), (-1, 0)),
-    ((2, 0), (0, 1)),
+@pytest.mark.parametrize("direction", [
+    pytest.param((1, 1), id="diagonal"),
+    pytest.param((2, 0), id="not-a-unit"),
 ])
-def test_step_profile_rejects_bad_axes(direction, companion):
+def test_step_profile_rejects_bad_axes(direction):
     with pytest.raises(ValueError):
-        step_profile(standard_lattice(), direction, companion)
+        step_profile(standard_lattice(), direction)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +376,29 @@ def test_apply_affine_lattice_shift():
     assert shifted == lattice
     with pytest.raises(ValueError):
         apply_affine(AffineMap.translation((1, 0)), lattice)
+
+
+def test_is_automorphism_of_agrees_with_the_lattice_image():
+    """A map is an automorphism of L exactly when its shift lies in L and
+    it carries L onto L.  The shear (x, y) -> (x, x + y) keeps the origin of
+    Z x 2Z but carries (1, 0) off it."""
+    shear = AffineMap(UnimodularMap(((1, 0), (1, 1))))
+    assert not shear.is_automorphism_of(rectangular_lattice(1, 2))
+    assert shear.is_automorphism_of(standard_lattice())
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(400):
+        lattice = hnf_canonicalize(random_matrix(rng, 3))
+        (p, q), (_, r) = lattice.generators()
+        i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        shift = ((i * p, i * q + j * r) if rng.randrange(4)
+                 else (rng.randint(-4, 4), rng.randint(-4, 4)))
+        m = AffineMap(random_unimodular(rng, 2), shift)
+        on_lattice = contains(lattice, shift)
+        expected = on_lattice and apply_affine(m, lattice) == lattice
+        assert m.is_automorphism_of(lattice) is expected, (m, lattice)
+        outcomes.add((on_lattice, expected))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_affine_compose_and_inverse():

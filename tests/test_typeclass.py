@@ -41,7 +41,6 @@ from latgon import typeclass
 from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
-    _box_reads,
     _has_type,
     _west_split_limit,
     type_shape,
@@ -84,7 +83,8 @@ def reference_type_predicate(P, n, tag):
     gate: I lies in a slab between neighbouring lines of nZ^2, Va in the
     triangle with corners (0,0), (2n,0) and (0,2n), and II to VI are split
     by every segment, split by no `unsplit` line and meet no `unmet` line of
-    their `type_shape`."""
+    their `type_shape`, each (axis, c) taken as the general line
+    (1 - axis, axis, c)."""
     if tag == "I":
         west, east, south, north = P.bounding_box()
         return (-(-east // n) - west // n <= 1
@@ -93,9 +93,11 @@ def reference_type_predicate(P, n, tag):
         return all(x >= 0 and y >= 0 and x + y <= 2 * n
                    for x, y in P.vertices)
     shape = type_shape(tag, n)
+    unsplit = [(1 - axis, axis, c) for axis, c in shape.unsplit]
+    unmet = [(1 - axis, axis, c) for axis, c in shape.unmet]
     return (all(splits_by_segment(P, seg) for seg in shape.segments)
-            and not any(splits_by_line(P, line) for line in shape.unsplit)
-            and not any(meets_line(P, line) for line in shape.unmet))
+            and not any(splits_by_line(P, line) for line in unsplit)
+            and not any(meets_line(P, line) for line in unmet))
 
 
 @pytest.mark.parametrize(
@@ -252,13 +254,13 @@ def test_svg_draws_each_defining_segment_and_line(tag, rng, pool3,
             assert (width == "5") is splits_by_segment(P, seg)
         dashed = _DASHED_LINE.findall(svg)
         assert len(dashed) == len(lines)
-        for (a, b, c), (x1, y1, x2, y2) in zip(lines, dashed):
+        for (axis, c), (x1, y1, x2, y2) in zip(lines, dashed):
             x0, y0 = int(drawn[0][0]), int(drawn[0][1])  # pixel of segs[0].a
-            if a:  # x = c, vertical
-                assert (a, b) == (1, 0) and x1 == x2
+            if axis == 0:  # x = c, vertical
+                assert x1 == x2
                 assert int(x1) - x0 == SCALE * (c - segs[0].a[0])
             else:  # y = c, horizontal
-                assert (a, b) == (0, 1) and y1 == y2
+                assert axis == 1 and y1 == y2
                 assert y0 - int(y1) == SCALE * (c - segs[0].a[1])
 
 
@@ -510,16 +512,16 @@ def test_reduce_type_v_composed_map():
 
 
 def test_reduction_scans_each_image_for_freeness_once(monkeypatch):
-    """A reduction scans its source once (for its type), each lift's input
-    once, and each recorded step's image once, and finishing scans nothing
-    more: TRIANGLE's two identity lifts and two steps make five scans."""
+    """A reduction scans its source once (for its type) and each recorded
+    step's image once; a lift's input is already proven, and finishing
+    scans nothing more: TRIANGLE's two steps make three scans."""
     scans = []
     real = typeclass.is_free_of
     monkeypatch.setattr(typeclass, "is_free_of",
                         lambda P, L: scans.append(P) or real(P, L))
     trace = reduce_type_v(TRIANGLE, 3)
     assert [s.label for s in trace.steps] == ["reflect", "flip"]
-    assert len(scans) == 5
+    assert len(scans) == 3
     assert scans[0] == TRIANGLE and scans[-1] == trace.result
 
 
@@ -885,11 +887,11 @@ def test_type_shape_segments_are_axis_parallel():
             shape = type_shape(tag, n)
             for seg in shape.segments:
                 assert seg.a[0] == seg.b[0] or seg.a[1] == seg.b[1], seg
-            for a, b, _c in shape.unsplit + shape.unmet:
-                assert (a, b) in ((1, 0), (0, 1))
+            for axis, _c in shape.unsplit + shape.unmet:
+                assert axis in (0, 1)
 
 
-# ((x_lo, x_hi, y_lo, y_hi), unsplit, unmet), read off type_shape by hand,
+# (straddle, unsplit, unmet) of each type_shape row, worked out by hand,
 # each line as (axis, c) with axis 0 for x = c and 1 for y = c: II's square
 # [0,n]^2 has no other line; III adds the unsplit x = 0; IV's unmet lines
 # are x = -n and x = 2n; V's unsplit lines are x = -n and y = n; VI's are
@@ -915,7 +917,9 @@ BOX_READS = {
 
 @pytest.mark.parametrize("n", sorted(BOX_READS))
 def test_box_gates_match_hand_worked_bounds(n):
-    assert {tag: _box_reads(tag, n) for tag in BOX_READS[n]} == BOX_READS[n]
+    rows = {tag: type_shape(tag, n) for tag in BOX_READS[n]}
+    assert {tag: (row.straddle, row.unsplit, row.unmet)
+            for tag, row in rows.items()} == BOX_READS[n]
 
 
 def criterion_8_sample(seed=8, rate=0.02):

@@ -688,7 +688,7 @@ def test_corpus_counts_broken_pipelines_under_optimize():
         "import json, sys",
         "import latgon.typeclass as typeclass",
         "from latgon import AffineMap, SearchRegion, verify_reduction_corpus",
-        "typeclass.lift = lambda P, n: (0, P, AffineMap.identity())",
+        "typeclass._lift = lambda P, n: (0, P, AffineMap.identity())",
         "report, tally = verify_reduction_corpus(3, SearchRegion(-2, 4, -1, 1))",
         "print(json.dumps({'optimize': sys.flags.optimize, 'tally': tally,",
         "                  'failed': len(report.counterexamples)}))",
