@@ -5,14 +5,16 @@ JSON values go to standard output (one object, or one object per line for
 byte-deterministic: keys are sorted, separators fixed, and worker count never
 changes what is printed.
 
-Exit codes: 0 success, 1 usage or input error, 2 counterexample or law
-failure found, 3 node budget (or search limit) exceeded.
+Exit codes: 0 success, 1 usage or input error (or standard output closed
+early), 2 counterexample or law failure found, 3 node budget (or search
+limit) exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -302,8 +304,11 @@ def _cmd_render(ns) -> int:
             lattice = decode_lattice(_load_json(ns.lattice, "lattice"))
         svg = render_polygon_svg(P, n=ns.n, tag=ns.tag, lattice=lattice)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise _InputError(f"out: {exc}")
         _note(f"wrote {len(svg)} bytes to {ns.out}")
     else:
         sys.stdout.write(svg)
@@ -447,7 +452,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output (`latgon enumerate | head -1`).
+        # Point it at the null device, so the flush at exit does not fail
+        # again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,14 @@ polygons are emitted once per translation class.
 The moves from a point do not depend on the chain that reached it, only on
 the anchor.  So each anchor's search keeps a ray table: the first time a
 chain reaches a point, every ray from it whose first step stays in the
-region (the search lists those directions once per point) is walked once,
-through the region, the two angular cut-offs (which cannot cut at the
-anchor itself), the fan-triangle freeness test and the closing test, and
-each row records the points that extend the chain and whether one more
-node is counted there and closes the polygon.  The cut-offs come first
-because each costs one comparison; the order does not change the rows,
-since a step that any of the three tests rejects is a stop, whichever
-test rejects it.
+region (the search lists those directions once per point, when a chain
+first reaches it) is walked once, through the region, the two angular
+cut-offs (which cannot cut at the anchor itself), the fan-triangle
+freeness test and the closing test, and each row records the points that
+extend the chain and whether one more node is counted there and closes the
+polygon.  The cut-offs come first because each costs one comparison; the
+order does not change the rows, since a step that any of the three tests
+rejects is a stop, whichever test rejects it.
 The moves from a state, a point and the direction that reached it, do not
 depend on the chain either.  So the first time a chain enters a state, its
 rows are compiled into an event program, kept in the table: each event
@@ -28,12 +28,14 @@ no row can go on from) with the node that ends it.  The depth-first search
 replays the programs, checking the budget after each run, and a run that
 crosses the budget stops at the node that crosses it; so node counts,
 budget stops and the emitted stream are those of walking every ray afresh
-at every node.  The search carries each chain's bounding box down with it,
-and a closed chain is tested for dedup on that box before it is built, each
-box's verdict computed once per anchor; only the polygons that pass are
-built as checked polygons and re-checked against the lattice by the column
-scan of `is_free_of`, a route apart from the fan-triangle test.  That is
-the one re-check: no campaign kernel repeats it or the constructor's.
+at every node.  A program stops compiling where its replay must cross the
+budget, so the budget bounds all of a search's work, not only its nodes.
+The search carries each chain's bounding box down with it, and a closed
+chain is tested for dedup on that box before it is built, each box's
+verdict computed once per anchor; only the polygons that pass are built as
+checked polygons and re-checked against the lattice by the column scan of
+`is_free_of`, a route apart from the fan-triangle test.  That is the one
+re-check: no campaign kernel repeats it or the constructor's.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -323,7 +325,12 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         """
         rows, stops = [], []
         cx, cy = c
-        for j in first[c]:
+        firsts = first.get(c)
+        if firsts is None:
+            firsts = first[c] = tuple(
+                j for j, (dx, dy) in enumerate(steps)
+                if x_min <= cx + dx <= x_max and y_min <= cy + dy <= y_max)
+        for j in firsts:
             dx, dy = steps[j]
             px, py = cx, cy
             nx, ny = cx + dx, cy + dy
@@ -369,11 +376,21 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         its stops.  So an event's count merges them with the node that ends
         it.  A state that is descended into has a row past the direction,
         so its program is not empty.
+
+        Once the compiled events and run count more nodes than the budget
+        has left, the replay crosses the budget inside them, so compiling
+        stops there.  Each extension point counts at least one node, so at
+        most one more of them than the budget has nodes left has its rays
+        walked.  A program cut short is not kept.
         """
         js, rows, stops, _top, programs = entry
         events = []
         done = bisect_right(stops, last)
         run = 0
+        # The nodes the budget has left, less those the events count; at
+        # least 0 to start with, so a program cut short counts a node.
+        left = max(budget - counter[0], 0)
+        whole = True
         for j, k, ext, closes in rows[bisect_right(js, last):]:
             run += k - done
             done = k
@@ -381,15 +398,24 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 sub = table.get(nxt) or table.setdefault(nxt, rays(nxt))
                 if sub[3] > j:
                     events.append((run + 1, nxt, j, sub))
+                    left -= run + 1
                     run = 0
                 else:
                     run += 1 + len(sub[2]) - bisect_right(sub[2], j)
+                if run > left:
+                    break
+            if run > left:
+                whole = False
+                break
             if closes:
                 events.append((run + 1, anchor, j, None))
+                left -= run + 1
                 run = 0
         if run:
             events.append((run, None, -1, None))
-        prog = programs[last] = tuple(events)
+        prog = tuple(events)
+        if whole:
+            programs[last] = prog
         return prog
 
     def overrun(run: int) -> None:
@@ -466,16 +492,15 @@ def _anchors(search: _Search) -> list[Vec]:
 @lru_cache(maxsize=8)
 def _first_steps(region: SearchRegion, vertex_lattice: Lattice2 | None
                  ) -> dict[Vec, tuple[int, ...]]:
-    """For each point of the region, in increasing order, the indices j of
-    the direction steps whose first step from it stays in the region.
+    """For each point of the region that a chain has reached, in increasing
+    order, the indices j of the direction steps whose first step from it
+    stays in the region.
 
-    Every anchor of a search reads the same lists; none writes to them.
+    Every anchor of a search reads the same lists, and adds a point's list
+    when a chain first reaches it, so a search cut short by its budget
+    lists only the points it reached.
     """
-    steps = _direction_steps(region, vertex_lattice)
-    return {(x, y): tuple(j for j, (dx, dy) in enumerate(steps)
-                          if region.x_min <= x + dx <= region.x_max
-                          and region.y_min <= y + dy <= region.y_max)
-            for x, y in region.points()}
+    return {}
 
 
 def _direction_steps(region: SearchRegion,
@@ -543,13 +568,15 @@ def _campaign(kernel, args: tuple, searches: list[_Search],
     the budget is the last.  A serial task gets the budget that is left.
     Pool tasks run ahead with the whole budget; the one whose nodes cross
     what is left is run again here with what is left.  So every worker count
-    yields what workers=1 yields.
+    yields what workers=1 yields.  No more workers start than there are
+    tasks.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
     tasks = [(kernel, args, search, anchor)
              for search in searches for anchor in _anchors(search)]
     nodes = seen = 0
+    workers = min(workers, len(tasks))
     if workers > 1:
         # A one-worker campaign never loads multiprocessing.
         from multiprocessing import Pool
@@ -604,8 +631,10 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
     """The first largest polygon carrying `tag`, and every one with more
     than `limit` vertices.
 
-    A tagged search avoids nZ^2, checked once, up front, and each polygon
-    is tested with typeclass._has_type, without a freeness test.
+    A polygon no larger than the best so far and than `limit` can change
+    neither, so its type is never decided.  A tagged search avoids nZ^2,
+    checked once, up front, and every other polygon is tested with
+    typeclass._has_type, without a freeness test.
     """
     tagged = tag != "any"
     if tagged and search.avoid != scaled_lattice(n):
@@ -614,9 +643,11 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
     best, best_size, over = None, 0, []
     for poly in polygons:
         vs = poly.vertices
+        size = len(vs)
+        if size <= best_size and size <= limit:
+            continue
         if tagged and not _has_type(vs, poly.bounding_box(), n, tag):
             continue
-        size = len(vs)
         if size > best_size:
             best, best_size = poly, size
         if size > limit:

@@ -388,6 +388,17 @@ def test_render_to_file(tmp_path, capsys):
     assert target.read_text().startswith('<?xml')
 
 
+def test_render_to_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "square.svg"
+    code, out, err = run_cli(
+        capsys, "render", "--polygon", "[[1,1],[2,1],[2,2],[1,2]]",
+        "--n", "3", "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == (f"error: out: [Errno 2] No such file or directory: "
+                   f"'{target}'\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -591,6 +602,40 @@ def test_search_cut_short_exits_three(capsys, argv, message):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_small_budget_bounds_the_work_before_the_first_node():
+    """Under --budget 10 the search stops at node 11, also on a region
+    whose directions, rays and programs would take minutes to prepare in
+    full."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "latgon.cli", "verify-bound", "--n", "3",
+         "--region=0,60,0,60", "--budget", "10"],
+        env=checkout_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["nodes_explored"] == 11
+
+
+def test_closed_standard_output_ends_without_a_traceback():
+    """`latgon enumerate | head -1`: the reader closes the pipe after one
+    line, and the command exits 1 with nothing but its notes on standard
+    error."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latgon.cli", "enumerate",
+         "--region", "0,6,0,6"],
+        env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert json.loads(first)["vertices"][0] == [0, 0]
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_budget_exhaustion_in_workers_exits():

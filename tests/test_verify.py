@@ -38,7 +38,7 @@ from latgon import (
     verify_reduction_corpus,
 )
 from latgon import verify
-from latgon.typeclass import PIPELINES, _classify_core
+from latgon.typeclass import PIPELINES, _classify_core, _has_type
 from latgon.verify import (
     _anchors,
     _corpus_kernel,
@@ -479,18 +479,56 @@ def test_campaign_workers_agree(campaign):
     assert campaign(2) == campaign(1)
 
 
+def test_campaign_starts_no_more_workers_than_tasks(monkeypatch):
+    """A campaign asked for more workers than it has tasks starts one per
+    task, and one with a single task runs here; a stand-in pool that maps
+    in this process records each pool's size, so no process starts."""
+    import multiprocessing
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    region = SearchRegion(-3, 3, -3, 3)
+    tasks = _anchors(_Search(region, 3, scaled_lattice(3), True, None))
+    assert len(tasks) == 18
+    assert (check_vertex_bound(3, "any", None, region, workers=64)
+            == check_vertex_bound(3, "any", None, region))
+    assert sizes == [18]
+    # The witness search avoids Z x 3Z: in [0,1]^2 its one anchor is (0, 1).
+    one = _Search(SearchRegion(0, 1, 0, 1), 4, _lattice_family(1, 3)[0],
+                  True, None)
+    assert _anchors(one) == [(0, 1)]
+    assert find_sharpness_witness(1, 3, one.region, workers=4) is None
+    assert sizes == [18]
+
+
 def test_one_worker_campaigns_load_neither_slope_nor_pool():
-    """A one-worker bound or corpus campaign, in a fresh interpreter, loads
-    neither the slope layer nor multiprocessing; at two workers the bound
-    campaign loads the pool and reports what it reports at one."""
+    """A one-worker bound or corpus campaign, and a one-task campaign asked
+    for more workers, in a fresh interpreter, load neither the slope layer
+    nor multiprocessing; at two workers the bound campaign loads the pool
+    and reports what it reports at one."""
     code = "\n".join([
         "import json, sys",
         "from dataclasses import asdict",
         "from latgon import (SearchRegion, check_vertex_bound,",
-        "                    verify_reduction_corpus)",
+        "                    find_sharpness_witness, verify_reduction_corpus)",
         "region = SearchRegion(-1, 2, -1, 2)",
         "one = check_vertex_bound(3, 'any', None, region)",
         "report, tally = verify_reduction_corpus(3, SearchRegion(-1, 2, -1, 1))",
+        "# Five workers asked for, one task: (0, 1) is the one anchor.",
+        "find_sharpness_witness(1, 3, SearchRegion(0, 1, 0, 1), workers=5)",
         "unloaded = {'latgon.slope', 'multiprocessing'} - set(sys.modules)",
         "two = check_vertex_bound(3, 'any', None, region, workers=2)",
         "print(json.dumps({'unloaded': sorted(unloaded),",
@@ -599,13 +637,31 @@ def test_type_iii_exists_without_vertex_constraint():
     assert type_predicate(P, 3, "III")
 
 
+#: The regions of the kernel tests below: the benchmark's tagged region,
+#: which holds types I, V and Va, and one that holds every type but IV.
+KERNEL_REGIONS = (SearchRegion(-3, 2, -2, 2), SearchRegion(-2, 4, -2, 4))
+
+
 @pytest.fixture(scope="module")
-def tagged_stream_24():
+def task_streams():
+    """For each kernel region, deduplicated (as an untagged bound campaign
+    searches) and not (as a tagged one does): the search and, per anchor
+    task, the 3Z²-free polygons it yields."""
+    out = {}
+    for region in KERNEL_REGIONS:
+        for dedup in (True, False):
+            search = _Search(region, 3, scaled_lattice(3), dedup, None)
+            out[region, dedup] = search, [
+                list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9))
+                for anchor in _anchors(search)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def tagged_stream_24(task_streams):
     """Every 3Z²-free polygon of [-2,4]², undeduplicated, in task order."""
-    search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
-                     None)
-    return [P for anchor in _anchors(search)
-            for P in _iter_from_anchor(anchor, search, [0, 0], 10 ** 9)]
+    _search, tasks = task_streams[SearchRegion(-2, 4, -2, 4), False]
+    return [P for polys in tasks for P in polys]
 
 
 @pytest.mark.parametrize("tag", TAG_ORDER)
@@ -636,6 +692,61 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     assert kernel_best == best
     assert over == [P for P in matches if len(P) > limit]
     assert (len(over) > 0) is (tag != "IV")
+
+
+def reference_max_kernel(polygons, n, tag, limit):
+    """_max_kernel's loop as it was before it skipped polygons too small to
+    change its summary: the type of every polygon is decided."""
+    best, best_size, over = None, 0, []
+    for P in polygons:
+        if tag != "any" and not _has_type(P.vertices, P.bounding_box(), n,
+                                          tag):
+            continue
+        if len(P) > best_size:
+            best, best_size = P, len(P)
+        if len(P) > limit:
+            over.append(P)
+    return best, over
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER + ("any",))
+def test_max_kernel_matches_the_loop_that_types_every_polygon(task_streams,
+                                                              tag):
+    """Each task's summary is the one the loop that decides every
+    polygon's type makes, with the limit at the bound and one below the
+    largest size, where the over-limit list is not empty."""
+    for region in KERNEL_REGIONS:
+        search, tasks = task_streams[region, tag == "any"]
+        sizes = [len(best) for best, _ in (
+            reference_max_kernel(polys, 3, tag, 8) for polys in tasks) if best]
+        for limit in (8, max(sizes, default=1) - 1):
+            summaries = [reference_max_kernel(polys, 3, tag, limit)
+                         for polys in tasks]
+            assert [_max_kernel(iter(polys), search, 3, tag, limit)
+                    for polys in tasks] == summaries
+            if limit < 8:
+                assert any(over for _, over in summaries) is bool(sizes)
+
+
+def test_tagged_campaign_types_only_polygons_that_could_change_the_report(
+        monkeypatch):
+    """Of the 8,082 polygons of the benchmark's tagged campaign, the type is
+    decided for the 3,591 larger than the largest V polygon their task had
+    found; the report is the one deciding every type gives."""
+    calls = []
+    has_type = verify._has_type
+
+    def counted(*args):
+        calls.append(args[3])
+        return has_type(*args)
+
+    monkeypatch.setattr(verify, "_has_type", counted)
+    report = check_vertex_bound(3, "V", None, SearchRegion(-3, 2, -2, 2))
+    assert len(calls) == 3591 and set(calls) == {"V"}
+    assert (report.max_vertices_found, report.nodes_explored) == (7, 105207)
+    assert report.witness.vertices == ((-3, -2), (-2, -2), (-1, -1), (1, 2),
+                                       (0, 2), (-2, 1), (-3, -1))
+    assert report.counterexamples == ()
 
 
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
