@@ -9,17 +9,12 @@ from .lattice import (
     Lattice2,
     StepProfile,
     UnimodularMap,
-    apply_affine,
     contains,
     hnf_canonicalize,
     invariant_factors,
-    rectangular_lattice,
     scaled_lattice,
     shear_lattice,
-    shear_residue,
-    snf_transform,
     span_of_points,
-    standard_lattice,
     step_profile,
 )
 from .polygon import (
@@ -31,10 +26,8 @@ from .polygon import (
     contains_point,
     from_points,
     is_free_of,
-    is_minimal,
     lattice_points_in,
     line_side_range,
-    meets_line,
     splits_by_line,
     splits_by_ray,
     splits_by_segment,
@@ -62,7 +55,6 @@ from .verify import (
     capture_threshold,
     check_main_theorem,
     check_vertex_bound,
-    empty_residue_classes,
     enumerate_convex_polygons,
     find_sharpness_witness,
     verify_reduction_corpus,

@@ -94,19 +94,10 @@ class Lattice2:
         return f"Lattice2[({self.p},{self.q}),(0,{self.r})]"
 
 
-def standard_lattice() -> Lattice2:
-    return Lattice2(1, 0, 1)
-
-
 @lru_cache(maxsize=64)
 def scaled_lattice(k: int) -> Lattice2:
     """The lattice kZ^2 (one shared instance per k; Lattice2 is frozen)."""
     return Lattice2(k, 0, k)
-
-
-def rectangular_lattice(a: int, b: int) -> Lattice2:
-    """The lattice aZ x bZ."""
-    return Lattice2(a, 0, b)
 
 
 def shear_lattice(r: int, m: int, scale: int = 1) -> Lattice2:
@@ -141,60 +132,11 @@ def invariant_factors(L: Lattice2) -> InvariantFactors:
     """Invariant factors via the gcd/determinant formulas.
 
     delta is the gcd of the basis entries; delta * n is the determinant.
-    (The independent route — Smith reduction by elementary operations — lives
-    in snf_transform and in the test oracle.)
+    (The independent route, Smith reduction by elementary operations, is the
+    test oracle.)
     """
     delta = gcd(gcd(L.p, L.q), L.r)
     return InvariantFactors(delta, L.determinant // delta)
-
-
-def snf_transform(L: Lattice2) -> tuple["UnimodularMap", InvariantFactors]:
-    """A unimodular U with U(L) = delta·Z x n·Z, plus the factors.
-
-    Row operations are accumulated into U; column operations (which do not
-    change the lattice generated by the columns' image) are applied freely.
-    """
-    m00, m01 = L.p, 0
-    m10, m11 = L.q, L.r
-    u00, u01, u10, u11 = 1, 0, 0, 1
-    for _ in range(64):
-        if m10 != 0:
-            g, x, y = _xgcd(m00, m10)
-            a, b = m00 // g, m10 // g
-            m00, m01, m10, m11, u00, u01, u10, u11 = (
-                g,
-                x * m01 + y * m11,
-                0,
-                -b * m01 + a * m11,
-                x * u00 + y * u10,
-                x * u01 + y * u11,
-                -b * u00 + a * u10,
-                -b * u01 + a * u11,
-            )
-            continue
-        if m01 != 0:
-            g, x, y = _xgcd(m00, m01)
-            a, b = m00 // g, m01 // g
-            m00, m01 = g, 0
-            m10, m11 = x * m10 + y * m11, -b * m10 + a * m11
-            continue
-        if m11 % m00:
-            # Force divisibility: fold column 2 into column 1 and restart.
-            m10 += m11
-            continue
-        break
-    else:  # pragma: no cover - reduction of a 2x2 matrix terminates quickly
-        raise InvariantViolation("Smith reduction did not terminate")
-    if m00 < 0:
-        m00, u00, u01 = -m00, -u00, -u01
-    if m11 < 0:
-        m11, u10, u11 = -m11, -u10, -u11
-    U = UnimodularMap(((u00, u01), (u10, u11)))
-    factors = InvariantFactors(m00, m11)
-    expected = invariant_factors(L)
-    if factors != expected:
-        raise InvariantViolation(f"SNF routes disagree: {factors} != {expected}")
-    return U, factors
 
 
 def contains(L: Lattice2, point: Vec) -> bool:
@@ -233,17 +175,6 @@ def step_profile(L: Lattice2, direction: Vec) -> StepProfile:
     return StepProfile(small, large)
 
 
-def shear_residue(L: Lattice2) -> int:
-    """The unique r in {0, …, det−1} with basis (e1 + r·e2, det·e2).
-
-    Defined only for lattices whose small e1-step is 1.
-    """
-    if L.p != 1:
-        raise ValueError(f"small e1-step is {L.p}, shear residue needs 1")
-    # Canonical form already reduces q into {0, …, r−1} and det = r here.
-    return L.q
-
-
 @dataclass(frozen=True)
 class UnimodularMap:
     """Integer 2x2 matrix with determinant +-1, stored by rows."""
@@ -272,11 +203,6 @@ class UnimodularMap:
         return UnimodularMap(((a * e + b * g, a * f + b * h),
                               (c * e + d * g, c * f + d * h)))
 
-    def inverse(self) -> "UnimodularMap":
-        (a, b), (c, d) = self.rows
-        s = self.det  # +-1
-        return UnimodularMap(((d * s, -b * s), (-c * s, a * s)))
-
     def max_entry(self) -> int:
         return max(abs(e) for row in self.rows for e in row)
 
@@ -304,11 +230,6 @@ class AffineMap:
             (sx + self.shift[0], sy + self.shift[1]),
         )
 
-    def inverse(self) -> "AffineMap":
-        inv = self.linear.inverse()
-        sx, sy = inv.apply(self.shift)
-        return AffineMap(inv, (-sx, -sy))
-
     def is_automorphism_of(self, L: Lattice2) -> bool:
         """True iff this map carries L onto itself: its shift and the images
         of L's generators lie in L (a unimodular map into L is onto L)."""
@@ -322,16 +243,6 @@ class AffineMap:
     @staticmethod
     def translation(shift: Vec) -> "AffineMap":
         return AffineMap(UnimodularMap.identity(), shift)
-
-
-def apply_affine(m: AffineMap, L: Lattice2) -> Lattice2:
-    """Image of a lattice under an affine map whose shift belongs to it."""
-    if not contains(L, m.shift):
-        raise ValueError(f"shift {m.shift} is not a point of {L}")
-    g1, g2 = L.generators()
-    c1 = m.linear.apply(g1)
-    c2 = m.linear.apply(g2)
-    return hnf_canonicalize(((c1[0], c2[0]), (c1[1], c2[1])))
 
 
 def span_of_points(points) -> int:

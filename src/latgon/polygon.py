@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .lattice import AffineMap, Lattice2, Vec, contains
+from .lattice import AffineMap, Lattice2, Vec
 
 #: Integer line a*x + b*y = c, stored as (a, b, c) with (a, b) != (0, 0).
 Line = tuple[int, int, int]
@@ -82,10 +82,6 @@ class LatticePolygon:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def edges(self) -> list[tuple[Vec, Vec]]:
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(x_min, x_max, y_min, y_max)."""
@@ -231,12 +227,6 @@ def splits_by_line(P: LatticePolygon, line: Line) -> bool:
     return lo < 0 < hi
 
 
-def meets_line(P: LatticePolygon, line: Line) -> bool:
-    """True iff the polygon (including its boundary) meets the line."""
-    lo, hi = line_side_range(P, line)
-    return lo <= 0 <= hi
-
-
 def _chord_within(P: LatticePolygon, a: Vec, d: Vec, bounded: bool) -> bool:
     """True iff the line a + t*d splits P and its chord lies at t >= 0, and
     also at t <= 1 when `bounded`.
@@ -365,14 +355,6 @@ def area2_and_pick(P: LatticePolygon) -> tuple[int, int, int]:
             if contains_point(P, (x, y)) == "interior":
                 interior += 1
     return area2, interior, boundary
-
-
-def is_minimal(P: LatticePolygon) -> bool:
-    """True iff every edge vector is primitive (no interior boundary points)."""
-    for (x0, y0), (x1, y1) in P.edges():
-        if gcd(abs(x1 - x0), abs(y1 - y0)) != 1:
-            return False
-    return True
 
 
 def _image(vs: tuple[Vec, ...], a: int, b: int, c: int, d: int, sx: int,

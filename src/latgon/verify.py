@@ -63,7 +63,7 @@ from .lattice import (
     scaled_lattice,
     shear_lattice,
 )
-from .polygon import LatticePolygon, _trusted, is_free_of, lattice_points_in
+from .polygon import LatticePolygon, _trusted, is_free_of
 from .typeclass import (
     PIPELINES,
     InvariantViolation,
@@ -496,9 +496,11 @@ def _first_steps(region: SearchRegion, vertex_lattice: Lattice2 | None
     order, the indices j of the direction steps whose first step from it
     stays in the region.
 
-    Every anchor of a search reads the same lists, and adds a point's list
-    when a chain first reaches it, so a search cut short by its budget
-    lists only the points it reached.
+    The lists are cached by (region, vertex lattice), for up to 8 pairs and
+    for the life of the process: every anchor of every search and campaign
+    on that pair reads the same lists, and adds a point's list when a chain
+    first reaches it, so a search cut short by its budget lists only the
+    points that it, or an earlier search on the pair, reached.
     """
     return {}
 
@@ -841,21 +843,3 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     )
     return report, tally
 
-
-# ---------------------------------------------------------------------------
-# Residue-class pigeonhole
-
-def empty_residue_classes(P: LatticePolygon, m: int) -> list[Vec]:
-    """Residue classes (i1, i2) mod m containing no integer point of P.
-
-    A polygon with fewer than m*m integer points always leaves a class empty,
-    and shifting P by minus any such class representative makes it free of
-    m*Z^2 — the counting step behind the large-scale capture argument,
-    realized as an explicit scan.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    hit = {(x % m, y % m)
-           for x, y in lattice_points_in(P, Lattice2(1, 0, 1))}
-    return [(i1, i2) for i1 in range(m) for i2 in range(m)
-            if (i1, i2) not in hit]

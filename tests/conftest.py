@@ -8,6 +8,7 @@ extension instead of the anchored streaming search.  Agreement between
 the two sides is therefore evidence, not tautology.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -264,3 +265,12 @@ def run_python(code, *flags):
     return subprocess.run([sys.executable, *flags, "-c", code],
                           env=checkout_env(), capture_output=True, text=True,
                           timeout=120)
+
+
+def cli_stdout_digest(argv, optimize=False):
+    """Run `latgon *argv` in a fresh interpreter, under python -O when
+    `optimize`; return its exit code and the sha256 of its standard output."""
+    code = ("import sys; from latgon.cli import main; "
+            f"sys.argv = ['latgon', *{list(argv)!r}]; main()")
+    proc = run_python(code, *(["-O"] if optimize else []))
+    return proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()

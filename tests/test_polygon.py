@@ -24,15 +24,12 @@ from latgon import (
     enumerate_convex_polygons,
     from_points,
     is_free_of,
-    is_minimal,
     lattice_points_in,
     line_side_range,
-    meets_line,
     scaled_lattice,
     splits_by_line,
     splits_by_ray,
     splits_by_segment,
-    standard_lattice,
     transform,
 )
 
@@ -231,8 +228,6 @@ def test_polygon_helpers():
     assert len(TRIANGLE) == 3
     moved = TRIANGLE.translate((2, 1))
     assert moved.vertices == ((0, 0), (3, 2), (1, 3))
-    assert set(TRIANGLE.edges()) == {
-        ((-2, -1), (1, 1)), ((1, 1), (-1, 2)), ((-1, 2), (-2, -1))}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def test_cardinal_profile_axis_triangle():
 def test_cardinal_profile_against_point_scan(rng):
     for _ in range(60):
         P = random_polygon(rng)
-        pts = lattice_points_in(P, standard_lattice())
+        pts = lattice_points_in(P, Lattice2(1, 0, 1))
         c = cardinal_profile(P)
         assert c.north == max(y for _, y in pts)
         assert c.south == min(y for _, y in pts)
@@ -333,7 +328,6 @@ def test_contains_point_on_vertices_and_boundary(rng):
 def test_splits_by_line_misses():
     square = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
     assert not splits_by_line(square, (1, 0, 3))
-    assert not meets_line(square, (1, 0, 3))
 
 
 def test_splits_by_line_hits():
@@ -344,7 +338,6 @@ def test_splits_by_line_hits():
 
 def test_meets_without_splitting():
     square = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert meets_line(square, (1, 0, 2))
     assert not splits_by_line(square, (1, 0, 2))
 
 
@@ -593,7 +586,7 @@ def test_lattice_points_match_pick_counts(rng):
     for _ in range(300):
         P = random_polygon(rng, lo=-9, hi=9)
         _, interior, boundary = area2_and_pick(P)
-        assert len(lattice_points_in(P, standard_lattice())) \
+        assert len(lattice_points_in(P, Lattice2(1, 0, 1))) \
             == interior + boundary, P
 
 
@@ -618,19 +611,6 @@ def test_pick_identity_up_to_five():
         assert area2 == 2 * interior + boundary - 2
         checked += 1
     assert checked == 349228
-
-
-# ---------------------------------------------------------------------------
-# Minimality
-
-
-@pytest.mark.parametrize("points, expected", [
-    ([(0, 0), (1, 0), (0, 1)], True),
-    ([(0, 0), (2, 0), (0, 1)], False),
-    ([(0, 1), (1, 0), (2, 1), (1, 2)], True),
-])
-def test_is_minimal(points, expected):
-    assert is_minimal(from_points(points)) == expected
 
 
 # ---------------------------------------------------------------------------

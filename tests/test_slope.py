@@ -8,6 +8,7 @@ import pytest
 from conftest import random_polygon, run_python
 from latgon import (
     Frame,
+    Lattice2,
     SearchRegion,
     SignedBasis,
     Slope,
@@ -22,7 +23,6 @@ from latgon import (
     from_points,
     hnf_canonicalize,
     maximal_slopes,
-    rectangular_lattice,
     run_fuzz_suite,
     scaled_lattice,
     step_profile,
@@ -259,13 +259,13 @@ def test_slp_witness_two_edges():
 
 def test_slp_witness_wide_lattice_step():
     q = validate_slope(E12, [(0, 4), (2, 1), (6, 0)])
-    assert check_slp_witness(q, vertex_lattice=rectangular_lattice(2, 1)) == 0
+    assert check_slp_witness(q, vertex_lattice=Lattice2(2, 0, 1)) == 0
 
 
 def test_slp_witness_rejects_foreign_vertices():
     q = validate_slope(E12, [(0, 3), (1, 1), (3, 0)])
     with pytest.raises(ValueError):
-        check_slp_witness(q, vertex_lattice=rectangular_lattice(2, 1))
+        check_slp_witness(q, vertex_lattice=Lattice2(2, 0, 1))
 
 
 def test_slp_witness_shear():

@@ -26,7 +26,7 @@ from latgon import (
     from_points,
     is_free_of,
     lift,
-    meets_line,
+    line_side_range,
     polygon_types,
     reduce_type_iv,
     reduce_type_v,
@@ -97,7 +97,8 @@ def reference_type_predicate(P, n, tag):
     unmet = [(1 - axis, axis, c) for axis, c in shape.unmet]
     return (all(splits_by_segment(P, seg) for seg in shape.segments)
             and not any(splits_by_line(P, line) for line in unsplit)
-            and not any(meets_line(P, line) for line in unmet))
+            and not any(lo <= 0 <= hi for lo, hi in
+                        (line_side_range(P, line) for line in unmet)))
 
 
 @pytest.mark.parametrize(
@@ -146,6 +147,11 @@ def reference_type_predicate(P, n, tag):
         # split by IV's four segments, but meets its line x = 8
         pytest.param([(-3, 2), (2, -1), (8, 5)], 4, "IV", False,
                      id="vertices16-4-IV-False"),
+        # a type III triangle and a type Va triangle
+        pytest.param([(1, -1), (4, 1), (1, 4)], 3, "III", True,
+                     id="vertices17-3-III-True"),
+        pytest.param([(1, 2), (4, 1), (2, 4)], 3, "Va", True,
+                     id="vertices18-3-Va-True"),
     ],
 )
 def test_type_predicate_examples(vertices, n, tag, expected):

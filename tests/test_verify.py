@@ -27,12 +27,10 @@ from latgon import (
     check_main_theorem,
     check_vertex_bound,
     contains,
-    empty_residue_classes,
     enumerate_convex_polygons,
     find_sharpness_witness,
     from_points,
     is_free_of,
-    lattice_points_in,
     scaled_lattice,
     type_predicate,
     verify_reduction_corpus,
@@ -913,51 +911,23 @@ def test_verify_reduction_corpus_validation():
 
 
 # ---------------------------------------------------------------------------
-# residue-class pigeonhole
-
-
-def test_empty_residue_classes_unit_square():
-    P = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert empty_residue_classes(P, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
-    assert empty_residue_classes(P, 1) == []
-
-
-def test_empty_residue_classes_none_left():
-    P = from_points([(0, 0), (4, 0), (4, 4), (0, 4)])
-    assert empty_residue_classes(P, 2) == []
-
-
-def test_empty_residue_classes_validation():
-    with pytest.raises(ValueError):
-        empty_residue_classes(from_points([(0, 0), (1, 0), (0, 1)]), 0)
-
-
-def test_empty_residue_shift_gives_freeness(rng, corpus_04):
-    """Pigeonhole: few points -> an empty class, and shifting by it frees P."""
-    found = 0
-    for P in rng.sample(corpus_04, 200):
-        m = 4
-        points = lattice_points_in(P, scaled_lattice(1))
-        empties = empty_residue_classes(P, m)
-        if len(points) < m * m:
-            assert empties
-        for i1, i2 in empties[:2]:
-            shifted = P.translate((-i1, -i2))
-            assert is_free_of(shifted, scaled_lattice(m))
-            found += 1
-    assert found > 100
+# capture at scale 2
 
 
 def test_no_empty_class_at_capture_size(corpus_04):
-    """Contrapositive of the capture bound, realized by the class scan.
+    """Contrapositive of the capture bound, a second route to criterion 2.
 
-    An empty class (i1, i2) mod 2 would let P shift onto a 2Z^2-free position,
-    but free polygons on that lattice stop at 4 vertices; so every polygon with
-    5 or more vertices must already hit all four classes.
+    An empty class (i, j) mod 2 would let P shift by (-i, -j) onto a
+    2Z^2-free position, but free polygons on that lattice stop at 4
+    vertices; so every polygon with 5 or more vertices meets 2Z^2 in each of
+    its four shifts.
     """
     checked = 0
     for P in corpus_04:
         if len(P) >= 5:
-            assert empty_residue_classes(P, 2) == []
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert not is_free_of(P.translate((-i, -j)),
+                                          scaled_lattice(2)), (P, i, j)
             checked += 1
     assert checked == 23495
