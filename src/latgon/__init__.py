@@ -26,9 +26,6 @@ from .polygon import (
     contains_point,
     from_points,
     is_free_of,
-    lattice_points_in,
-    line_side_range,
-    splits_by_line,
     splits_by_ray,
     splits_by_segment,
     transform,
@@ -79,7 +76,6 @@ _LAZY = dict.fromkeys((
     "frame_splits_polygon_slope",
     "maximal_slopes",
     "run_fuzz_suite",
-    "validate_slope",
 ), "latgon.slope")
 
 

@@ -186,11 +186,6 @@ class UnimodularMap:
         if a * d - b * c not in (1, -1):
             raise ValueError(f"not unimodular: {self.rows}")
 
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.rows
-        return a * d - b * c
-
     def apply(self, point: Vec) -> Vec:
         (a, b), (c, d) = self.rows
         x, y = point

@@ -13,9 +13,6 @@ from math import gcd
 
 from .lattice import AffineMap, Lattice2, Vec
 
-#: Integer line a*x + b*y = c, stored as (a, b, c) with (a, b) != (0, 0).
-Line = tuple[int, int, int]
-
 
 def _cross(o: Vec, a: Vec, b: Vec) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -31,12 +28,6 @@ class Segment:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError(f"degenerate segment at {self.a}")
-
-    def line(self) -> Line:
-        """The supporting line as integer coefficients (a, b, c)."""
-        dx = self.b[0] - self.a[0]
-        dy = self.b[1] - self.a[1]
-        return (-dy, dx, -dy * self.a[0] + dx * self.a[1])
 
 
 @dataclass(frozen=True)
@@ -86,10 +77,6 @@ class LatticePolygon:
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(x_min, x_max, y_min, y_max)."""
         return _box(self.vertices)
-
-    def translate(self, shift: Vec) -> "LatticePolygon":
-        dx, dy = shift
-        return _trusted(tuple((x + dx, y + dy) for x, y in self.vertices))
 
     def __str__(self) -> str:
         return "Polygon[" + ", ".join(map(str, self.vertices)) + "]"
@@ -212,21 +199,6 @@ def contains_point(P: LatticePolygon, point: Vec) -> str:
     return "boundary" if on_edge else "interior"
 
 
-def line_side_range(P: LatticePolygon, line: Line) -> tuple[int, int]:
-    """Range (min, max) of a*x + b*y - c over the vertices."""
-    a, b, c = line
-    if a == 0 and b == 0:
-        raise ValueError("degenerate line")
-    vals = [a * x + b * y - c for x, y in P.vertices]
-    return min(vals), max(vals)
-
-
-def splits_by_line(P: LatticePolygon, line: Line) -> bool:
-    """True iff the polygon has vertices strictly on both sides of the line."""
-    lo, hi = line_side_range(P, line)
-    return lo < 0 < hi
-
-
 def _chord_within(P: LatticePolygon, a: Vec, d: Vec, bounded: bool) -> bool:
     """True iff the line a + t*d splits P and its chord lies at t >= 0, and
     also at t <= 1 when `bounded`.
@@ -283,20 +255,19 @@ def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
     return _chord_within(P, origin, direction, False)
 
 
-def _scan(P: LatticePolygon, L: Lattice2, out: list[Vec] | None) -> bool:
-    """Append the points of L inside or on the polygon to `out`, column by
-    column (x, then y); with `out` None, stop at the first.  True iff the
-    scan stopped at a point.
+def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
+    """True iff no point of L lies in the polygon, boundary included.
 
-    On each lattice column x = i*p the polygon is an exact interval
-    [lo, hi], and the class y = i*q (mod r) is read off it.  The polygon is
-    counterclockwise from vertices[0], its lexicographically least vertex,
-    so its lower chain runs east from there forwards, up to the first vertex
-    that is not east of the one before, and its upper chain runs east from
-    there backwards (past a vertical west edge).  Each column takes the edge
-    of either chain that spans it: lo is the ceiling of the lower edge's
-    height at x and hi the floor of the upper edge's, both by integer floor
-    division.  Columns go east, so each chain is walked once.
+    The polygon is walked column by column, east, and the walk stops at the
+    first point of L.  On each lattice column x = i*p the polygon is an
+    exact interval [lo, hi], and the class y = i*q (mod r) is read off it.
+    The polygon is counterclockwise from vertices[0], its lexicographically
+    least vertex, so its lower chain runs east from there forwards, up to
+    the first vertex that is not east of the one before, and its upper chain
+    runs east from there backwards (past a vertical west edge).  Each column
+    takes the edge of either chain that spans it: lo is the ceiling of the
+    lower edge's height at x and hi the floor of the upper edge's, both by
+    integer floor division.  Columns go east, so each chain is walked once.
     """
     vs = P.vertices
     p, q, r = L.p, L.q, L.r
@@ -316,20 +287,11 @@ def _scan(P: LatticePolygon, L: Lattice2, out: list[Vec] | None) -> bool:
             hi = uay + (uby - uay) * (x - uax) // (ubx - uax)
             y = lo + (iq - lo) % r  # first y >= lo in the class
             if y <= hi:
-                if out is None:
-                    return True
-                while y <= hi:
-                    out.append((x, y))
-                    y += r
+                return False
             x += p
             iq += q
         lax, lay = lbx, lby
-    return False
-
-
-def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:
-    """True iff no point of L lies in the polygon, boundary included."""
-    return not _scan(P, L, None)
+    return True
 
 
 def area2_and_pick(P: LatticePolygon) -> tuple[int, int, int]:
@@ -379,9 +341,3 @@ def transform(P: LatticePolygon, m: AffineMap) -> LatticePolygon:
     (a, b), (c, d) = m.linear.rows
     return _trusted(_image(P.vertices, a, b, c, d, *m.shift))
 
-
-def lattice_points_in(P: LatticePolygon, L: Lattice2) -> list[Vec]:
-    """All points of L inside or on the polygon, in scan order."""
-    out: list[Vec] = []
-    _scan(P, L, out)
-    return out

@@ -122,11 +122,6 @@ class Slope:
         return (last[0] - first[0], last[1] - first[1])
 
 
-def validate_slope(basis: SignedBasis, vertices) -> Slope:
-    """Construct a slope, raising SlopeError with the violated rule if invalid."""
-    return Slope(basis, tuple((int(x), int(y)) for x, y in vertices))
-
-
 @dataclass(frozen=True)
 class Frame:
     """An origin together with a signed basis."""
@@ -532,15 +527,15 @@ def run_fuzz_suite(seed: int, slope_count: int, split_count: int) -> dict:
     return {"seed": seed, "counts": counts, "failures": failures}
 
 
-def random_split_config(rng, coord_range: int = 10) -> tuple[Frame, Slope]:
+def random_split_config(rng) -> tuple[Frame, Slope]:
     """A random (frame, slope) pair with frame_splits guaranteed."""
+    coord_range = 10
     for _ in range(500):
         basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
         origin = (rng.randint(-5, 5), rng.randint(-5, 5))
         f = Frame(origin, basis)
         slope_basis = basis if rng.random() < 0.5 else basis.swapped()
-        q = random_slope(rng, basis=slope_basis, max_edges=5,
-                         coord_range=coord_range)
+        q = random_slope(rng, basis=slope_basis, coord_range=coord_range)
         if q.edge_count == 0:
             continue
         # Re-anchor so the chain starts at u < 0 and ends at w < 0, then

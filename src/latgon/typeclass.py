@@ -25,7 +25,6 @@ from .polygon import (
     _image,
     _trusted,
     is_free_of,
-    splits_by_line,
     splits_by_segment,
     transform,
 )
@@ -443,7 +442,8 @@ def reduce_type_vi(P: LatticePolygon, n: int) -> ReductionTrace:
             rec.apply("center",
                       AffineMap(UnimodularMap(((-1, 0), (0, -1))), (0, n)))
         rec.lift()
-        if not splits_by_line(rec.cur, (0, 1, n)):
+        _, _, south, north = rec.cur.bounding_box()
+        if not south < n < north:  # y = n does not split the polygon
             return rec.finish("V")
         if splits_by_segment(rec.cur, Segment((-n, n), (0, n))):
             rec.apply("translate", AffineMap.translation((n, 0)))

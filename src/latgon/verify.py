@@ -161,10 +161,6 @@ class BoundReport:
     exhaustive: bool
     nodes_explored: int
 
-    @property
-    def upheld(self) -> bool:
-        return not self.counterexamples
-
 
 # ---------------------------------------------------------------------------
 # Edge directions

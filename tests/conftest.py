@@ -213,6 +213,32 @@ def classify_point_oracle(vertices, p):
     return "boundary" if on_edge else "interior"
 
 
+def side_range(P, line):
+    """(min, max) of a*x + b*y - c over the vertices of P, for the line
+    (a, b, c): a*x + b*y = c.  P is split by the line exactly when
+    min < 0 < max, and meets it exactly when min <= 0 <= max."""
+    a, b, c = line
+    sides = [a * x + b * y - c for x, y in P.vertices]
+    return min(sides), max(sides)
+
+
+def box_scan_oracle(P, L):
+    """Points of L in P: every lattice point of the bounding box, column by
+    column, kept unless classify_point_oracle puts it outside."""
+    x_min, x_max, y_min, y_max = P.bounding_box()
+    out = []
+    i = -(-x_min // L.p)
+    while i * L.p <= x_max:
+        x = i * L.p
+        y = i * L.q + -((i * L.q - y_min) // L.r) * L.r
+        while y <= y_max:
+            if classify_point_oracle(P.vertices, (x, y)) != "outside":
+                out.append((x, y))
+            y += L.r
+        i += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random data and shared corpora
 

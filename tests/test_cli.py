@@ -6,6 +6,7 @@ frozen strings: the CLI promises byte-deterministic output, so these tests
 fail on any formatting drift, not just on value changes.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -377,15 +378,20 @@ def test_render_trace_svg(capsys):
 
 
 def test_render_to_file(tmp_path, capsys):
+    """README's `render … --out square.svg` call: nothing on standard
+    output, and the file's sha256 is pinned like the rows of
+    tests/test_contract.py."""
     target = tmp_path / "square.svg"
     code, out, err = run_cli(
         capsys, "render", "--polygon", "[[1,1],[2,1],[2,2],[1,2]]",
+        "--n", "3", "--tag", "I", "--lattice", '{"basis":[[3,0],[0,3]]}',
         "--out", str(target),
     )
     assert code == 0
     assert out == ""
     assert str(target) in err
-    assert target.read_text().startswith('<?xml')
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "6c4eada389a4d60da4c77ef5b449b552975a8b9b4f883a59e43d997b61c03eaf")
 
 
 def test_render_to_a_missing_directory_is_an_error(tmp_path, capsys):

@@ -23,13 +23,11 @@ PUBLIC_NAMES = [
     "contains_point", "enumerate_convex_polygons", "find_sharpness_witness",
     "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
     "from_points", "hnf_canonicalize", "invariant_factors", "is_free_of",
-    "lattice", "lattice_points_in", "lift", "line_side_range",
-    "maximal_slopes", "polygon", "polygon_types", "reduce_type_iv",
-    "reduce_type_v", "reduce_type_vi", "run_fuzz_suite", "scaled_lattice",
-    "shear_lattice", "slope", "span_of_points", "splits_by_line",
+    "lattice", "lift", "maximal_slopes", "polygon", "polygon_types",
+    "reduce_type_iv", "reduce_type_v", "reduce_type_vi", "run_fuzz_suite",
+    "scaled_lattice", "shear_lattice", "slope", "span_of_points",
     "splits_by_ray", "splits_by_segment", "step_profile", "transform",
-    "type_predicate", "typeclass", "validate_slope", "verify",
-    "verify_reduction_corpus",
+    "type_predicate", "typeclass", "verify", "verify_reduction_corpus",
 ]
 
 
@@ -91,6 +89,73 @@ REDUCED_TRACE = (
          "--tag", "II"], False, 0,
         "deced8d71400cefc3692e7bc15e214b61ff332065a3c9ea73f676a3b8161bc72",
         id="render-type-ii"),
+    # README's command block, in its order.  Its `reduce` call is the
+    # `reduce` row above, and its slope-check call the `slope-check-O` row.
+    pytest.param(
+        ["classify", "--n", "3",
+         "--polygon", '{"vertices":[[1,1],[2,1],[2,2],[1,2]]}'], False, 0,
+        "fb746e377d3c9b70829b7b7c4c007a24bced5dfd399024706e502016f22e9fa8",
+        id="readme-classify"),
+    pytest.param(
+        ["lift", "--n", "5", "--polygon", "[[-2,-4],[1,3],[-2,1]]"], False, 0,
+        "58bc70618725dd0b20167b562fdb004a4a58853d5501a809fcca0569e79e29ce",
+        id="readme-lift"),
+    pytest.param(
+        ["verify-main", "--delta", "2", "--n", "2", "--region", "0,6,0,6"],
+        False, 0,
+        "6e57ddc0beffb71811f6b637371e37c5f445979a96114248fae5e47b90d0a31d",
+        id="readme-verify-main"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--preset", "square-n3", "--workers",
+         "4"], False, 0,
+        "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
+        id="readme-bound-preset"),
+    pytest.param(
+        ["verify-reductions", "--n", "3", "--region=-2,4,-1,1", "--workers",
+         "2"], False, 0,
+        "38043029c8e870f0c6f0f57161fd2d59187b64e94ac4a8b94d74b8caba3ab5d3",
+        id="readme-reductions-w2"),
+    pytest.param(
+        ["witness", "--delta", "2", "--n", "2", "--region", "0,6,0,6"],
+        False, 0,
+        "e55da1199b8d44f00469ab6aa21fd6335924b17e809a511230e76c33a6c6b98e",
+        id="readme-witness"),
+    pytest.param(
+        ["enumerate", "--region", "0,2,0,2"], False, 0,
+        "83c29c38eec563da35cb0ea77c239815dadbd79d6eb23a25d5b712e9566c5183",
+        id="readme-enumerate"),
+    # Campaigns under python -O.
+    pytest.param(
+        ["slope-check", "--seed", "0", "--slopes", "10000", "--splits",
+         "10000"], True, 0,
+        "73dbc4c7beb8b7f40a40822a62a7569235f1e2d4512256d4fa80f8f65c93604b",
+        id="slope-check-O"),
+    pytest.param(
+        ["verify-reductions", "--n", "3", "--region=-2,4,-1,1"], True, 0,
+        "38043029c8e870f0c6f0f57161fd2d59187b64e94ac4a8b94d74b8caba3ab5d3",
+        id="reductions-O"),
+    pytest.param(
+        ["verify-reductions", "--n", "4", "--region=-3,5,-2,1"], True, 0,
+        "d86770e70a037fa6a56724b3ca0658de8619f07496f40595cc8371017c726a16",
+        id="reductions-n4-O"),
+    pytest.param(
+        ["verify-reductions", "--n", "3", "--region=-3,3,-3,3"], True, 0,
+        "11f2389d80ac286d363fddf4f71298270e51afe0231393068ce948a5f498bc81",
+        id="reductions-square-O"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--region=-3,3,-3,3"], True, 0,
+        "43a249ea34b5e03b3ee7409901a29d53da03787d4b1f8cab06348b22908b2e84",
+        id="bound-any-O"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--tag", "V", "--region=-3,2,-2,2",
+         "--workers", "2"], True, 0,
+        "1b34f65a891d5255e000d812cf4f7503983fccf76bca1f25554fb70412aa2a9a",
+        id="bound-tag-v-w2-O"),
 ])
 def test_cli_output(argv, optimize, code, sha256):
+    """Each call's exit code and the sha256 of its standard output.
+
+    README's command block is pinned call by call, except `render … --out
+    square.svg`, which prints nothing: test_render_to_file in
+    tests/test_cli.py pins the file it writes."""
     assert cli_stdout_digest(argv, optimize) == (code, sha256)

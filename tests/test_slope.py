@@ -26,7 +26,6 @@ from latgon import (
     run_fuzz_suite,
     scaled_lattice,
     step_profile,
-    validate_slope,
 )
 from latgon.slope import random_shear_slope, random_slope, random_split_config
 
@@ -39,14 +38,14 @@ ORIGIN_FRAME = Frame((0, 0), E12)
 
 
 def test_valid_two_edge_slope():
-    q = validate_slope(E12, [(0, 3), (1, 1), (3, 0)])
+    q = Slope(E12, ((0, 3), (1, 1), (3, 0)))
     assert q.edge_count == 2
     assert q.steps() == [(1, -2), (2, -1)]
     assert q.total_step() == (3, -3)
 
 
 def test_single_point_is_a_slope():
-    q = validate_slope(E12, [(5, 5)])
+    q = Slope(E12, ((5, 5),))
     assert q.edge_count == 0
     assert q.total_step() == (0, 0)
 
@@ -62,7 +61,7 @@ def test_single_point_is_a_slope():
 ])
 def test_invalid_slopes(vertices, code):
     with pytest.raises(SlopeError) as err:
-        validate_slope(E12, vertices)
+        Slope(E12, tuple(vertices))
     assert err.value.violated == code
 
 
@@ -70,15 +69,15 @@ def test_slope_reverses_under_swapped_basis(rng):
     """Reading the chain backwards is a slope for the swapped basis."""
     for _ in range(200):
         q = random_slope(rng)
-        validate_slope(q.basis.swapped(), tuple(reversed(q.vertices)))
+        Slope(q.basis.swapped(), tuple(reversed(q.vertices)))
 
 
 def test_slope_respects_its_basis():
     down = SignedBasis((0, -1), (1, 0))
-    q = validate_slope(down, [(1, 3), (0, 1)])
+    q = Slope(down, ((1, 3), (0, 1)))
     assert q.steps() == [(2, -1)]
     with pytest.raises(SlopeError):
-        validate_slope(E12, [(1, 3), (0, 1)])
+        Slope(E12, ((1, 3), (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,45 +146,45 @@ def test_extreme_edge_lengths_respect_lattice_steps(rng):
 
 
 def test_frame_splits_basic():
-    q = validate_slope(E12, [(-1, 2), (1, -1)])
+    q = Slope(E12, ((-1, 2), (1, -1)))
     assert frame_splits(ORIGIN_FRAME, q)
 
 
 def test_frame_splits_through_origin_fails():
     # The crossing lands exactly on the frame origin: no point of the
     # slope has both frame coordinates positive.
-    q = validate_slope(E12, [(-1, 1), (1, -1)])
+    q = Slope(E12, ((-1, 1), (1, -1)))
     assert not frame_splits(ORIGIN_FRAME, q)
 
 
 def test_frame_splits_crossing_below_origin_fails():
-    q = validate_slope(E12, [(-3, 1), (1, -1)])
+    q = Slope(E12, ((-3, 1), (1, -1)))
     assert not frame_splits(ORIGIN_FRAME, q)
 
 
 def test_frame_splits_needs_sign_change():
-    q = validate_slope(E12, [(1, 3), (2, 1)])
+    q = Slope(E12, ((1, 3), (2, 1)))
     assert not frame_splits(ORIGIN_FRAME, q)
-    assert not frame_splits(ORIGIN_FRAME, validate_slope(E12, [(5, 5)]))
+    assert not frame_splits(ORIGIN_FRAME, Slope(E12, ((5, 5),)))
 
 
 def test_frame_splits_shifted_rotated():
     f = Frame((3, 0), SignedBasis((0, 1), (-1, 0)))
-    q = validate_slope(f.basis, [(2, -1), (4, 2)])
+    q = Slope(f.basis, ((2, -1), (4, 2)))
     assert [f.coords(v) for v in q.vertices] == [(-1, 1), (2, -1)]
     assert frame_splits(f, q)
     assert forms_small_angle(f, q)
 
 
 def test_frame_splits_rejects_foreign_basis():
-    q = validate_slope(SignedBasis((0, 1), (-1, 0)), [(2, -1), (4, 2)])
+    q = Slope(SignedBasis((0, 1), (-1, 0)), ((2, -1), (4, 2)))
     with pytest.raises(ValueError):
         frame_splits(ORIGIN_FRAME, q)
 
 
 def test_frame_splits_swapped_basis_reads_backwards():
     f = Frame((0, 0), SignedBasis((0, 1), (1, 0)))
-    q = validate_slope(E12, [(-1, 2), (1, -1)])
+    q = Slope(E12, ((-1, 2), (1, -1)))
     # In the swapped frame the same chain runs from (-1, 1) to (2, -1).
     assert frame_splits(f, q)
 
@@ -195,31 +194,31 @@ def test_frame_splits_swapped_basis_reads_backwards():
 
 
 def test_small_angle_shallow_crossing():
-    q = validate_slope(E12, [(-4, 3), (-1, 1), (3, -1)])
+    q = Slope(E12, ((-4, 3), (-1, 1), (3, -1)))
     assert frame_splits(ORIGIN_FRAME, q)
     assert forms_small_angle(ORIGIN_FRAME, q)
 
 
 def test_small_angle_forty_five_degrees_counts():
-    q = validate_slope(E12, [(-1, 3), (3, -1)])
+    q = Slope(E12, ((-1, 3), (3, -1)))
     assert forms_small_angle(ORIGIN_FRAME, q)
 
 
 def test_small_angle_on_vertex_counts_the_next_edge():
     # The chain meets w=0 at the vertex (1, 0): steep before, shallow after.
-    q = validate_slope(E12, [(-1, 3), (1, 0), (4, -1)])
+    q = Slope(E12, ((-1, 3), (1, 0), (4, -1)))
     assert frame_splits(ORIGIN_FRAME, q)
     assert forms_small_angle(ORIGIN_FRAME, q)
 
 
 def test_small_angle_steep_crossing_fails():
-    q = validate_slope(E12, [(-1, 4), (1, -2)])
+    q = Slope(E12, ((-1, 4), (1, -2)))
     assert frame_splits(ORIGIN_FRAME, q)
     assert not forms_small_angle(ORIGIN_FRAME, q)
 
 
 def test_small_angle_requires_split():
-    q = validate_slope(E12, [(1, 3), (2, 1)])
+    q = Slope(E12, ((1, 3), (2, 1)))
     with pytest.raises(ValueError):
         forms_small_angle(ORIGIN_FRAME, q)
 
@@ -250,36 +249,36 @@ def test_one_of_the_two_frames_forms_small_angle(rng):
 
 
 def test_slp_witness_single_point():
-    assert check_slp_witness(validate_slope(E12, [(5, 5)])) == 0
+    assert check_slp_witness(Slope(E12, ((5, 5),))) == 0
 
 
 def test_slp_witness_two_edges():
-    assert check_slp_witness(validate_slope(E12, [(0, 3), (1, 1), (3, 0)])) == 1
+    assert check_slp_witness(Slope(E12, ((0, 3), (1, 1), (3, 0)))) == 1
 
 
 def test_slp_witness_wide_lattice_step():
-    q = validate_slope(E12, [(0, 4), (2, 1), (6, 0)])
+    q = Slope(E12, ((0, 4), (2, 1), (6, 0)))
     assert check_slp_witness(q, vertex_lattice=Lattice2(2, 0, 1)) == 0
 
 
 def test_slp_witness_rejects_foreign_vertices():
-    q = validate_slope(E12, [(0, 3), (1, 1), (3, 0)])
+    q = Slope(E12, ((0, 3), (1, 1), (3, 0)))
     with pytest.raises(ValueError):
         check_slp_witness(q, vertex_lattice=Lattice2(2, 0, 1))
 
 
 def test_slp_witness_shear():
-    q = validate_slope(E12, [(0, 3), (2, 1)])
+    q = Slope(E12, ((0, 3), (2, 1)))
     assert check_slp_witness(q, shear=(1, 3)) == 0
     with pytest.raises(ValueError):
         check_slp_witness(q, shear=(2, 1))  # needs a <= m
     with pytest.raises(ValueError):
-        check_slp_witness(validate_slope(E12, [(0, 1), (1, -1)]), shear=(1, 3))
+        check_slp_witness(Slope(E12, ((0, 1), (1, -1))), shear=(1, 3))
 
 
 def test_slp_witness_validates_shear_before_small_step():
     # In 2Z^2 the small f1-step is 2, which alone would give the witness 0.
-    q = validate_slope(E12, [(0, 4), (4, 0)])
+    q = Slope(E12, ((0, 4), (4, 0)))
     with pytest.raises(ValueError):
         check_slp_witness(q, vertex_lattice=scaled_lattice(2), shear=(5, 1))
 
@@ -307,18 +306,18 @@ def test_slp_witness_random_shear_slopes(rng):
 
 
 def test_th36_witness_minimal():
-    q = validate_slope(E12, [(-1, 2), (1, -1)])
+    q = Slope(E12, ((-1, 2), (1, -1)))
     assert check_th36_witness(ORIGIN_FRAME, q) == (0, 0)
 
 
 def test_th36_witness_requires_split():
-    q = validate_slope(E12, [(-1, 1), (1, -1)])
+    q = Slope(E12, ((-1, 1), (1, -1)))
     with pytest.raises(ValueError):
         check_th36_witness(ORIGIN_FRAME, q)
 
 
 def test_th36_witness_proper_span():
-    q = validate_slope(E12, [(-2, 4), (2, -2)])
+    q = Slope(E12, ((-2, 4), (2, -2)))
     s, t = check_th36_witness(ORIGIN_FRAME, q)
     assert 0 <= s <= t
 
@@ -387,7 +386,7 @@ SLOPE_NAMES = (
     "Frame", "MaximalSlopes", "SignedBasis", "Slope", "SlopeError",
     "WitnessNotFound", "check_slp_witness", "check_th36_witness",
     "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
-    "maximal_slopes", "run_fuzz_suite", "validate_slope",
+    "maximal_slopes", "run_fuzz_suite",
 )
 
 

@@ -12,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_polygon, run_python
+from conftest import random_polygon, run_python, side_range
 from latgon import (
     TAG_ORDER,
     AffineMap,
@@ -26,13 +26,11 @@ from latgon import (
     from_points,
     is_free_of,
     lift,
-    line_side_range,
     polygon_types,
     reduce_type_iv,
     reduce_type_v,
     reduce_type_vi,
     scaled_lattice,
-    splits_by_line,
     splits_by_segment,
     transform,
     type_predicate,
@@ -84,7 +82,7 @@ def reference_type_predicate(P, n, tag):
     triangle with corners (0,0), (2n,0) and (0,2n), and II to VI are split
     by every segment, split by no `unsplit` line and meet no `unmet` line of
     their `type_shape`, each (axis, c) taken as the general line
-    (1 - axis, axis, c)."""
+    (1 - axis, axis, c) and read on the vertices' side values."""
     if tag == "I":
         west, east, south, north = P.bounding_box()
         return (-(-east // n) - west // n <= 1
@@ -96,9 +94,10 @@ def reference_type_predicate(P, n, tag):
     unsplit = [(1 - axis, axis, c) for axis, c in shape.unsplit]
     unmet = [(1 - axis, axis, c) for axis, c in shape.unmet]
     return (all(splits_by_segment(P, seg) for seg in shape.segments)
-            and not any(splits_by_line(P, line) for line in unsplit)
+            and not any(lo < 0 < hi for lo, hi in
+                        (side_range(P, line) for line in unsplit))
             and not any(lo <= 0 <= hi for lo, hi in
-                        (line_side_range(P, line) for line in unmet)))
+                        (side_range(P, line) for line in unmet)))
 
 
 @pytest.mark.parametrize(
@@ -452,7 +451,8 @@ def _assert_trace_shape(trace, source, n):
     assert trace.n == n
     assert transform(trace.source, trace.composed_map()) == trace.result
     m = trace.composed_map()
-    assert m.linear.det in (1, -1)
+    (a, b), (c, d) = m.linear.rows
+    assert a * d - b * c in (1, -1)
     assert m.is_automorphism_of(scaled_lattice(n))
     for step in trace.steps:
         assert (step.shear is not None) == (step.label == "lift")
@@ -714,11 +714,12 @@ def test_classify_square_in_place():
 
 
 def test_classify_undoes_translation():
-    m, t = classify(DIAMOND_II.translate((3, 0)), 3)
+    moved = transform(DIAMOND_II, AffineMap.translation((3, 0)))
+    m, t = classify(moved, 3)
     assert t == PolygonType("II", 3)
     assert m.linear == UnimodularMap.identity()
     assert m.shift == (-3, 0)
-    assert transform(DIAMOND_II.translate((3, 0)), m) == DIAMOND_II
+    assert transform(moved, m) == DIAMOND_II
 
 
 def test_classify_needs_a_move():

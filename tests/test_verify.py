@@ -15,6 +15,7 @@ from conftest import (convex_polygons_dfs, convex_polygons_powerset,
                       fail_lift_on_call, run_python)
 from latgon import (
     REGION_PRESETS,
+    AffineMap,
     BoundReport,
     BudgetExceededError,
     InvariantFactors,
@@ -32,6 +33,7 @@ from latgon import (
     from_points,
     is_free_of,
     scaled_lattice,
+    transform,
     type_predicate,
     verify_reduction_corpus,
 )
@@ -441,7 +443,7 @@ def test_capture_threshold_values(delta, n, nu):
 def test_check_main_theorem_pentagon_capture():
     """Free polygons on the (2,2) lattices of [0,6]^2 top out at 4 vertices."""
     report = check_main_theorem(2, 2, SearchRegion(0, 6, 0, 6))
-    assert report.upheld
+    assert not report.counterexamples
     assert report.exhaustive
     assert report.max_vertices_found == 4
     assert report.counterexamples == ()
@@ -554,7 +556,7 @@ def test_check_main_theorem_unit_height_family_is_vacuous():
     # lattice rows, leaving all its vertices collinear on y = const; no convex
     # polygon survives that, so the sweep finds nothing and the bound holds.
     report = check_main_theorem(1, 2, SearchRegion(0, 4, 0, 4))
-    assert report.upheld and report.exhaustive
+    assert not report.counterexamples and report.exhaustive
     assert report.max_vertices_found == 0
     assert report.witness is None
 
@@ -602,7 +604,7 @@ def test_sharpness_witness_none_in_tiny_region():
 def test_check_vertex_bound_plain_small():
     report = check_vertex_bound(3, "any", None, SearchRegion(0, 5, 0, 5))
     assert report.bound_name == "vertex-count<=8"
-    assert report.upheld and report.exhaustive
+    assert not report.counterexamples and report.exhaustive
     assert report.max_vertices_found == 8
     assert len(report.witness) == 8
     assert report.nodes_explored == 215835
@@ -611,7 +613,7 @@ def test_check_vertex_bound_plain_small():
 def test_check_vertex_bound_sublattice_factors():
     report = check_vertex_bound(4, "any", InvariantFactors(1, 2), SearchRegion(-2, 4, -2, 4))
     assert report.bound_name == "vertex-count<=8[factors=(1,2)]"
-    assert report.upheld and report.exhaustive
+    assert not report.counterexamples and report.exhaustive
     assert report.max_vertices_found == 7
     assert report.nodes_explored == 88507
     assert len(report.witness) == 7
@@ -622,7 +624,7 @@ def test_check_vertex_bound_constrained_vertices_vacuous():
     report = check_vertex_bound(
         3, "III", InvariantFactors(1, 3), REGION_PRESETS["type-iii-n3"]
     )
-    assert report.upheld and report.exhaustive
+    assert not report.counterexamples and report.exhaustive
     assert report.max_vertices_found == 0
     assert report.witness is None
     assert report.bound_name == "vertex-count<=4[factors=(1,3)]"
@@ -779,7 +781,7 @@ def test_verify_reduction_corpus_small():
     report, tally = verify_reduction_corpus(3, SearchRegion(-2, 3, -2, 3))
     assert isinstance(report, BoundReport)
     assert report.bound_name == "reduction-coverage"
-    assert report.upheld and report.exhaustive
+    assert not report.counterexamples and report.exhaustive
     assert tally["total"] == 13212
     assert tally["I"] == 9276
     assert tally["V"] == 3780
@@ -927,7 +929,7 @@ def test_no_empty_class_at_capture_size(corpus_04):
         if len(P) >= 5:
             for i in (0, 1):
                 for j in (0, 1):
-                    assert not is_free_of(P.translate((-i, -j)),
-                                          scaled_lattice(2)), (P, i, j)
+                    moved = transform(P, AffineMap.translation((-i, -j)))
+                    assert not is_free_of(moved, scaled_lattice(2)), (P, i, j)
             checked += 1
     assert checked == 23495
