@@ -18,11 +18,9 @@ from .lattice import (
     step_profile,
 )
 from .polygon import (
-    CardinalProfile,
     LatticePolygon,
     Segment,
     area2_and_pick,
-    cardinal_profile,
     contains_point,
     from_points,
     is_free_of,

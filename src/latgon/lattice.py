@@ -55,10 +55,6 @@ class InvariantFactors:
         if self.n % self.delta:
             raise ValueError(f"first invariant factor must divide the second: {self}")
 
-    @property
-    def determinant(self) -> int:
-        return self.delta * self.n
-
 
 @dataclass(frozen=True)
 class Lattice2:
@@ -77,11 +73,6 @@ class Lattice2:
             raise ValueError(
                 f"not a canonical Hermite basis: p={self.p} q={self.q} r={self.r}"
             )
-
-    @property
-    def basis(self) -> tuple[Vec, Vec]:
-        """Basis matrix rows; columns (p, q) and (0, r) generate the lattice."""
-        return ((self.p, 0), (self.q, self.r))
 
     @property
     def determinant(self) -> int:
@@ -161,18 +152,21 @@ class StepProfile:
     large: int
 
 
+def _lattice_step(L: Lattice2, d: Vec) -> int:
+    """Least k >= 1 with k*d in L."""
+    k1 = L.p // gcd(d[0], L.p)
+    c = k1 * d[0] // L.p
+    rem = k1 * d[1] - c * L.q
+    return k1 * (L.r // gcd(rem, L.r))
+
+
 def step_profile(L: Lattice2, direction: Vec) -> StepProfile:
     """Steps of L along the signed axis `direction`; the sign does not
     matter."""
     if direction not in SIGNED_AXES:
         raise ValueError(f"not a signed axis: {direction}")
-    if direction[0] != 0:  # +-e1
-        small = L.p
-        large = L.p * (L.r // gcd(L.q, L.r))
-    else:  # +-e2
-        small = gcd(L.q, L.r)
-        large = L.r
-    return StepProfile(small, large)
+    small = L.p if direction[0] else gcd(L.q, L.r)
+    return StepProfile(small, _lattice_step(L, direction))
 
 
 @dataclass(frozen=True)

@@ -125,65 +125,6 @@ def from_points(points) -> LatticePolygon:
     return LatticePolygon(tuple(hull))
 
 
-@dataclass(frozen=True)
-class CardinalProfile:
-    """Extremes of a polygon and the marker points on its extreme lines.
-
-    north/south/west/east are the extreme coordinate values.  For each
-    extreme line the lo/hi pair gives the smallest and largest value of the
-    *other* coordinate attained on that line; the pair collapses to a single
-    point exactly when the corresponding duplication flag m_k is 0.
-    Flag order follows the compass walk: m1 south, m2 east, m3 north, m4 west.
-    """
-
-    north: int
-    south: int
-    west: int
-    east: int
-    south_lo: int
-    south_hi: int
-    east_lo: int
-    east_hi: int
-    north_lo: int
-    north_hi: int
-    west_lo: int
-    west_hi: int
-
-    @property
-    def m1(self) -> int:
-        return 0 if self.south_lo == self.south_hi else 1
-
-    @property
-    def m2(self) -> int:
-        return 0 if self.east_lo == self.east_hi else 1
-
-    @property
-    def m3(self) -> int:
-        return 0 if self.north_lo == self.north_hi else 1
-
-    @property
-    def m4(self) -> int:
-        return 0 if self.west_lo == self.west_hi else 1
-
-
-def cardinal_profile(P: LatticePolygon) -> CardinalProfile:
-    xs = [v[0] for v in P.vertices]
-    ys = [v[1] for v in P.vertices]
-    north, south = max(ys), min(ys)
-    west, east = min(xs), max(xs)
-    on_south = [x for x, y in P.vertices if y == south]
-    on_north = [x for x, y in P.vertices if y == north]
-    on_west = [y for x, y in P.vertices if x == west]
-    on_east = [y for x, y in P.vertices if x == east]
-    return CardinalProfile(
-        north=north, south=south, west=west, east=east,
-        south_lo=min(on_south), south_hi=max(on_south),
-        east_lo=min(on_east), east_hi=max(on_east),
-        north_lo=min(on_north), north_hi=max(on_north),
-        west_lo=min(on_west), west_hi=max(on_west),
-    )
-
-
 def contains_point(P: LatticePolygon, point: Vec) -> str:
     """Exact location of an integer point: 'interior', 'boundary', 'outside'."""
     px, py = point

@@ -18,7 +18,7 @@ from math import gcd
 
 from .lattice import (SIGNED_AXES, InvariantViolation, Lattice2, Vec,
                       contains, scaled_lattice, span_of_points, step_profile)
-from .polygon import LatticePolygon, cardinal_profile, contains_point, splits_by_ray
+from .polygon import LatticePolygon, contains_point, splits_by_ray
 
 #: All eight signed bases (ordered pairs of perpendicular signed axes).
 ALL_SIGNED_BASES: tuple[tuple[Vec, Vec], ...] = tuple(
@@ -135,18 +135,19 @@ class Frame:
 
 @dataclass(frozen=True)
 class MaximalSlopes:
-    """The four maximal slopes of a polygon plus its cardinal profile.
+    """The four maximal slopes of a polygon, which make up its boundary.
 
     q1..q4 sit between consecutive extreme markers, numbered by the quadrant
     of their basis: q1 south-to-east in basis (e2, -e1), q2 east-to-north in
     (-e1, -e2), q3 north-to-west in (-e2, e1), q4 west-to-south in (e1, e2).
+    The slopes' endpoints are the markers: on each extreme line, the least
+    and the largest vertex in lexicographic order.
     """
 
     q1: Slope
     q2: Slope
     q3: Slope
     q4: Slope
-    profile: "object"
 
     def slopes(self) -> tuple[Slope, Slope, Slope, Slope]:
         return (self.q1, self.q2, self.q3, self.q4)
@@ -155,8 +156,12 @@ class MaximalSlopes:
         return tuple(s.edge_count for s in self.slopes())
 
     def marker_flags(self) -> tuple[int, int, int, int]:
-        p = self.profile
-        return (p.m1, p.m2, p.m3, p.m4)
+        """m1 (south), m2 (east), m3 (north), m4 (west): 1 exactly when the
+        slopes that meet on that extreme line end at distinct markers, that
+        is, when the line holds an edge of the polygon."""
+        q1, q2, q3, q4 = self.slopes()
+        return tuple(int(a.vertices[-1] != b.vertices[0])
+                     for a, b in ((q4, q1), (q1, q2), (q2, q3), (q3, q4)))
 
 
 #: Slope bases by quadrant index 1..4 (index 0 unused).
@@ -170,38 +175,39 @@ QUADRANT_BASES = (
 
 
 def maximal_slopes(P: LatticePolygon) -> MaximalSlopes:
-    """Decompose the boundary into four maximal slopes and four marker flags.
+    """Decompose the boundary into four maximal slopes.
 
-    The total edge count of the polygon equals the sum of the four slopes'
-    edge counts plus the four duplication flags (checked here).
+    The markers are read off the vertices on the box's four lines and the
+    slopes are the chains between them, so the identity checked here, edge
+    count of the polygon = the slopes' edge counts plus the marker flags,
+    compares the extremes with the chains' lengths.
     """
-    prof = cardinal_profile(P)
     vs = P.vertices
     n = len(vs)
     index = {v: i for i, v in enumerate(vs)}
 
-    def chain(a: Vec, b: Vec) -> list[Vec]:
+    def markers(axis: int, c: int) -> tuple[Vec, Vec]:
+        """The least and largest vertex on the line x = c (axis 0) or y = c."""
+        on = sorted(v for v in vs if v[axis] == c)
+        return on[0], on[-1]
+
+    def chain(a: Vec, b: Vec) -> tuple[Vec, ...]:
         i, j = index[a], index[b]
         out = [vs[i]]
         while i != j:
             i = (i + 1) % n
             out.append(vs[i])
-        return out
+        return tuple(out)
 
-    w_lo = (prof.west, prof.west_lo)
-    s_lo = (prof.south_lo, prof.south)
-    s_hi = (prof.south_hi, prof.south)
-    e_lo = (prof.east, prof.east_lo)
-    e_hi = (prof.east, prof.east_hi)
-    n_hi = (prof.north_hi, prof.north)
-    n_lo = (prof.north_lo, prof.north)
-    w_hi = (prof.west, prof.west_hi)
-
-    q4 = Slope(QUADRANT_BASES[4], tuple(chain(w_lo, s_lo)))
-    q1 = Slope(QUADRANT_BASES[1], tuple(chain(s_hi, e_lo)))
-    q2 = Slope(QUADRANT_BASES[2], tuple(chain(e_hi, n_hi)))
-    q3 = Slope(QUADRANT_BASES[3], tuple(chain(n_lo, w_hi)))
-    ms = MaximalSlopes(q1, q2, q3, q4, prof)
+    west, east, south, north = P.bounding_box()
+    w_lo, w_hi = markers(0, west)
+    s_lo, s_hi = markers(1, south)
+    e_lo, e_hi = markers(0, east)
+    n_lo, n_hi = markers(1, north)
+    ms = MaximalSlopes(Slope(QUADRANT_BASES[1], chain(s_hi, e_lo)),
+                       Slope(QUADRANT_BASES[2], chain(e_hi, n_hi)),
+                       Slope(QUADRANT_BASES[3], chain(n_lo, w_hi)),
+                       Slope(QUADRANT_BASES[4], chain(w_lo, s_lo)))
     total = sum(ms.edge_counts()) + sum(ms.marker_flags())
     if total != n:
         raise InvariantViolation(
@@ -421,12 +427,13 @@ def random_slope(rng, basis: SignedBasis | None = None, max_edges: int = 5,
     return _random_chain(rng, basis, max_edges, 200, ((1, 9), (-9, -1)), (box, box))
 
 
-def random_shear_slope(rng, max_edges: int = 4) -> tuple[Slope, tuple[int, int]]:
-    """A random slope whose vertices lie in span{f1 - a*f2, m*f2}; returns (a, m)."""
+def random_shear_slope(rng) -> tuple[Slope, tuple[int, int]]:
+    """A random slope of up to 4 edges whose vertices lie in
+    span{f1 - a*f2, m*f2}; returns (a, m)."""
     basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
     m = rng.randint(1, 3)
     a = rng.randint(1, m)
-    return _random_chain(rng, basis, max_edges, 300, ((1, 4), (-4, 0)),
+    return _random_chain(rng, basis, 4, 300, ((1, 4), (-4, 0)),
                          ((-3, 3), (-3, 3)), a, m), (a, m)
 
 

@@ -59,6 +59,7 @@ from .lattice import (
     InvariantFactors,
     Lattice2,
     Vec,
+    _lattice_step,
     contains,
     scaled_lattice,
     shear_lattice,
@@ -66,6 +67,7 @@ from .lattice import (
 from .polygon import LatticePolygon, _trusted, is_free_of
 from .typeclass import (
     PIPELINES,
+    TAG_ORDER,
     InvariantViolation,
     PolygonType,
     _classify_core,
@@ -194,14 +196,6 @@ def primitive_directions(max_dx: int, max_dy: int) -> tuple[Vec, ...]:
     ]
     dirs.sort(key=cmp_to_key(_dir_cmp))
     return tuple(dirs)
-
-
-def _lattice_step(L: Lattice2, d: Vec) -> int:
-    """Least k >= 1 with k*d in L."""
-    k1 = L.p // gcd(d[0], L.p)
-    c = k1 * d[0] // L.p
-    rem = k1 * d[1] - c * L.q
-    return k1 * (L.r // gcd(rem, L.r))
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +815,8 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
         raise ValueError(f"the reduction corpus runs at desk scale (3 or 4), got {n}")
     _reduces.cache_clear()
     search = _Search(region, 3, scaled_lattice(n), True, None)
-    tally = dict.fromkeys(("I", "II", "III", "IV", "V", "VI", "Va", "total",
-                           "reduced_v", "reduced_vi", "reduced_iv"), 0)
+    tally = dict.fromkeys((*TAG_ORDER, "total",
+                           *("reduced_" + t.lower() for t in PIPELINES)), 0)
     failures: list[LatticePolygon] = []
     max_found, nodes, exhausted = 0, 0, False
     for (part, part_failures, part_max), nodes, _seen, exhausted in _campaign(

@@ -12,13 +12,13 @@ import latgon
 from conftest import cli_stdout_digest
 
 PUBLIC_NAMES = [
-    "AffineMap", "BoundReport", "BudgetExceededError", "CardinalProfile",
-    "Frame", "InvariantFactors", "InvariantViolation", "Lattice2",
+    "AffineMap", "BoundReport", "BudgetExceededError", "Frame",
+    "InvariantFactors", "InvariantViolation", "Lattice2",
     "LatticePolygon", "MaximalSlopes", "PolygonType", "REGION_PRESETS",
     "ReductionStep", "ReductionTrace", "SearchRegion", "Segment",
     "SignedBasis", "Slope", "SlopeError", "StepProfile", "TAG_ORDER",
     "UnimodularMap", "WitnessNotFound", "area2_and_pick", "capture_threshold",
-    "cardinal_profile", "check_main_theorem", "check_slp_witness",
+    "check_main_theorem", "check_slp_witness",
     "check_th36_witness", "check_vertex_bound", "classify", "contains",
     "contains_point", "enumerate_convex_polygons", "find_sharpness_witness",
     "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
@@ -47,6 +47,10 @@ REDUCED_TRACE = (
     '"steps":[{"label":"reflect","matrix":[[0,-1],[-1,0]],"shift":[0,0]},'
     '{"label":"flip","matrix":[[1,0],[0,-1]],"shift":[3,3]}]}'
 )
+# The same trace with a shear "a" on its reflect step: only a lift carries
+# one, so rendering it is refused.
+SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
+                                      '{"a":1,"label":"reflect"')
 
 
 @pytest.mark.parametrize("argv, optimize, code, sha256", [
@@ -76,6 +80,10 @@ REDUCED_TRACE = (
         ["render", "--trace", REDUCED_TRACE], True, 0,
         "0e64459b7843699f79b87055db222b9280c52db6df82023cdfeb58800b052a27",
         id="render-trace"),
+    pytest.param(
+        ["render", "--trace", SHEARED_TRACE], True, 1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        id="render-sheared-trace-O"),
     pytest.param(
         ["slope-check"], False, 0,
         "73dbc4c7beb8b7f40a40822a62a7569235f1e2d4512256d4fa80f8f65c93604b",

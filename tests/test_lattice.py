@@ -129,7 +129,7 @@ def test_hnf_presentation_independent(entries, ops):
             m[0][0] = -m[0][0]
             m[1][0] = -m[1][0]
     assert hnf_canonicalize((tuple(m[0]), tuple(m[1]))) == base
-    assert hnf_canonicalize(base.basis) == base  # idempotent
+    assert hnf_canonicalize(((base.p, 0), (base.q, base.r))) == base  # idempotent
 
 
 # ---------------------------------------------------------------------------

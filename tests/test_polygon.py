@@ -24,7 +24,6 @@ from latgon import (
     Segment,
     UnimodularMap,
     area2_and_pick,
-    cardinal_profile,
     contains,
     contains_point,
     enumerate_convex_polygons,
@@ -229,55 +228,6 @@ def test_from_points_matches_gift_wrapping(points):
 def test_polygon_helpers():
     assert TRIANGLE.bounding_box() == (-2, 1, -1, 2)
     assert len(TRIANGLE) == 3
-
-
-# ---------------------------------------------------------------------------
-# Cardinal extremes
-
-
-def test_cardinal_profile_square():
-    c = cardinal_profile(from_points([(1, 1), (2, 1), (2, 2), (1, 2)]))
-    assert (c.north, c.south, c.west, c.east) == (2, 1, 1, 2)
-    assert (c.m1, c.m2, c.m3, c.m4) == (1, 1, 1, 1)
-
-
-def test_cardinal_profile_tilted_triangle():
-    c = cardinal_profile(from_points([(0, 0), (2, 1), (1, 2)]))
-    assert (c.north, c.south) == (2, 0)
-    assert c.north_lo == c.north_hi == 1
-    assert c.south_lo == c.south_hi == 0
-    assert (c.m1, c.m2, c.m3, c.m4) == (0, 0, 0, 0)
-
-
-def test_cardinal_profile_axis_triangle():
-    c = cardinal_profile(from_points([(0, 0), (3, 0), (0, 3)]))
-    assert (c.south_lo, c.south_hi) == (0, 3)
-    assert (c.west_lo, c.west_hi) == (0, 3)
-    assert (c.m1, c.m2, c.m3, c.m4) == (1, 0, 0, 1)
-
-
-def test_cardinal_profile_against_point_scan(rng):
-    for _ in range(60):
-        P = random_polygon(rng)
-        pts = box_scan_oracle(P, Lattice2(1, 0, 1))
-        c = cardinal_profile(P)
-        assert c.north == max(y for _, y in pts)
-        assert c.south == min(y for _, y in pts)
-        assert c.west == min(x for x, _ in pts)
-        assert c.east == max(x for x, _ in pts)
-        assert c.north_lo == min(x for x, y in pts if y == c.north)
-        assert c.north_hi == max(x for x, y in pts if y == c.north)
-        assert c.south_lo == min(x for x, y in pts if y == c.south)
-        assert c.south_hi == max(x for x, y in pts if y == c.south)
-        assert c.east_lo == min(y for x, y in pts if x == c.east)
-        assert c.east_hi == max(y for x, y in pts if x == c.east)
-        assert c.west_lo == min(y for x, y in pts if x == c.west)
-        assert c.west_hi == max(y for x, y in pts if x == c.west)
-        extremes = {(c.south_lo, c.south), (c.south_hi, c.south),
-                    (c.north_lo, c.north), (c.north_hi, c.north),
-                    (c.east, c.east_lo), (c.east, c.east_hi),
-                    (c.west, c.west_lo), (c.west, c.west_hi)}
-        assert extremes <= set(P.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_polygon, run_python
+from conftest import box_scan_oracle, random_polygon, run_python
 from latgon import (
     Frame,
     Lattice2,
@@ -13,7 +13,6 @@ from latgon import (
     SignedBasis,
     Slope,
     SlopeError,
-    cardinal_profile,
     check_slp_witness,
     check_th36_witness,
     enumerate_convex_polygons,
@@ -123,6 +122,30 @@ def test_boundary_identity_random(rng):
         assert len(P) == sum(ms.edge_counts()) + sum(ms.marker_flags())
 
 
+def test_slope_endpoints_against_point_scan(rng):
+    """Each slope ends at the least or the largest point of P on an extreme
+    line, and a marker flag is 1 exactly when that line holds more than one
+    point of P; the lines and their points come from a scan of the box."""
+    for _ in range(60):
+        P = random_polygon(rng)
+        pts = box_scan_oracle(P, Lattice2(1, 0, 1))
+
+        def line(axis, extreme):
+            c = extreme(p[axis] for p in pts)
+            return sorted(p for p in pts if p[axis] == c)
+
+        south, east = line(1, min), line(0, max)
+        north, west = line(1, max), line(0, min)
+        ms = maximal_slopes(P)
+        q1, q2, q3, q4 = (s.vertices for s in ms.slopes())
+        assert (q1[0], q1[-1]) == (south[-1], east[0])
+        assert (q2[0], q2[-1]) == (east[-1], north[-1])
+        assert (q3[0], q3[-1]) == (north[0], west[-1])
+        assert (q4[0], q4[-1]) == (west[0], south[0])
+        assert ms.marker_flags() == tuple(
+            int(len(on) > 1) for on in (south, east, north, west))
+
+
 def test_extreme_edge_lengths_respect_lattice_steps(rng):
     """A marker flag forces the extreme edge to span at least the step."""
     for _ in range(1000):
@@ -132,13 +155,17 @@ def test_extreme_edge_lengths_respect_lattice_steps(rng):
         base = random_polygon(rng, lo=-4, hi=4)
         P = from_points([(a * g1[0] + b * g2[0], a * g1[1] + b * g2[1])
                          for a, b in base.vertices])
-        c = cardinal_profile(P)
+        ms = maximal_slopes(P)
+        m1, m2, m3, m4 = ms.marker_flags()
+        q1, q2, q3, q4 = (s.vertices for s in ms.slopes())
         s1 = step_profile(lattice, (1, 0)).small
         s2 = step_profile(lattice, (0, 1)).small
-        assert c.south_hi - c.south_lo >= s1 * c.m1
-        assert c.north_hi - c.north_lo >= s1 * c.m3
-        assert c.east_hi - c.east_lo >= s2 * c.m2
-        assert c.west_hi - c.west_lo >= s2 * c.m4
+        # Each extreme edge runs from the end of one slope to the start of
+        # the next: south q4 -> q1, east q1 -> q2, north q2 -> q3, west q3 -> q4.
+        assert q1[0][0] - q4[-1][0] >= s1 * m1
+        assert q2[0][1] - q1[-1][1] >= s2 * m2
+        assert q2[-1][0] - q3[0][0] >= s1 * m3
+        assert q3[-1][1] - q4[0][1] >= s2 * m4
 
 
 # ---------------------------------------------------------------------------
