@@ -30,12 +30,17 @@ crosses the budget stops at the node that crosses it; so node counts,
 budget stops and the emitted stream are those of walking every ray afresh
 at every node.  A program stops compiling where its replay must cross the
 budget, so the budget bounds all of a search's work, not only its nodes.
-The search carries each chain's bounding box down with it, and a closed
-chain is tested for dedup on that box before it is built, each box's
-verdict computed once per anchor; only the polygons that pass are built as
-checked polygons and re-checked against the lattice by the column scan of
-`is_free_of`, a route apart from the fan-triangle test.  That is the one
-re-check: no campaign kernel repeats it or the constructor's.
+The search carries each chain's bounding box down with it.  A closed chain
+is counted as seen, then tested, before it is built, against the task's
+vertex floor (the least vertex count its kernel can still use) and for
+dedup on that box, each box's verdict computed once per anchor; only the
+polygons that pass both are built as checked polygons and re-checked
+against the lattice by the column scan of `is_free_of`, a route apart from
+the fan-triangle test.  That is the one re-check: no campaign kernel
+repeats it or the constructor's.  Only the bound kernel raises the floor,
+past the sizes that can no longer change its report;
+`enumerate_convex_polygons`, the sharpness witness search and the reduction
+corpus build every polygon.
 
 Every campaign (the vertex-count bounds, the point-capture bound, sharpness
 witnesses, the reduction pipelines) runs through one driver.  Each anchor
@@ -275,12 +280,16 @@ class _Search:
 
 
 def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
-                      budget: int) -> Iterator[LatticePolygon]:
-    """The polygons whose lex-least vertex is `anchor`, in DFS order.
+                      budget: int, floor: list[int]
+                      ) -> Iterator[LatticePolygon]:
+    """The polygons whose lex-least vertex is `anchor`, in DFS order, less
+    those with fewer than floor[0] vertices.
 
     counter[0] counts nodes (chain prefixes, plus the node where a ray stops)
-    and counter[1] the polygons seen; BudgetExceededError is raised at the
-    node that takes counter[0] past `budget`.
+    and counter[1] the polygons seen, those under the floor included;
+    BudgetExceededError is raised at the node that takes counter[0] past
+    `budget`.  floor[0] is read at each closed chain, so a consumer may
+    raise it between polygons.
     """
     region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
@@ -419,8 +428,9 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         """Replay the event program `prog` of the state a chain ends in.
 
         The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
-        anchor, its least x.  A closed chain is tested for dedup on its box,
-        and each box's verdict is kept.
+        anchor, its least x.  A closed chain under the floor is counted and
+        dropped; any other is tested for dedup on its box, and each box's
+        verdict is kept.
         """
         for count, nxt, j, sub in prog:
             counter[0] += count
@@ -436,6 +446,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 verts.pop()
             elif nxt is not None and len(verts) >= emit_min:
                 counter[1] += 1
+                if len(verts) < floor[0]:
+                    continue
                 if avoid is not None and dedup:
                     box = (ax, x_hi, y_lo, y_hi)
                     canonical = verdicts.get(box)
@@ -525,30 +537,35 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
     search = _Search(region, min_vertices, avoid, True, None)
     counter = [0, 0]
     for anchor in _anchors(search):
-        yield from _iter_from_anchor(anchor, search, counter, budget)
+        yield from _iter_from_anchor(anchor, search, counter, budget, [0])
 
 
 # ---------------------------------------------------------------------------
 # The campaign driver: one task per (search, anchor) subtree, whose polygons
-# kernel(polygons, search, *args) folds into a summary.
+# kernel(polygons, search, floor, *args) folds into a summary.  The kernel
+# may raise floor[0], the least vertex count it can still use; the
+# enumerator builds no polygon under it.
 
 def _run_task(task: tuple) -> tuple:
     """(summary, nodes, polygons seen, budget exhausted) for one task.
 
-    Running out of budget ends the kernel's input; it does not raise.
+    Running out of budget ends the kernel's input; it does not raise.  The
+    task's vertex floor starts at 0 on every run, so it is the same at any
+    worker count.
     """
     kernel, args, search, anchor, budget = task
-    counter = [0, 0]
+    counter, floor = [0, 0], [0]
     exhausted = False
 
     def polygons() -> Iterator[LatticePolygon]:
         nonlocal exhausted
         try:
-            yield from _iter_from_anchor(anchor, search, counter, budget)
+            yield from _iter_from_anchor(anchor, search, counter, budget,
+                                         floor)
         except BudgetExceededError:
             exhausted = True
 
-    summary = kernel(polygons(), search, *args)
+    summary = kernel(polygons(), search, floor, *args)
     return summary, counter[0], counter[1], exhausted
 
 
@@ -618,15 +635,18 @@ def _vertex_bound(n: int, factors: InvariantFactors | None) -> int:
     )
 
 
-def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
-                tag: str, limit: int):
+def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search,
+                floor: list[int], n: int, tag: str, limit: int):
     """The first largest polygon carrying `tag`, and every one with more
     than `limit` vertices.
 
     A polygon no larger than the best so far and than `limit` can change
-    neither, so its type is never decided.  A tagged search avoids nZ^2,
-    checked once, up front, and every other polygon is tested with
-    typeclass._has_type, without a freeness test.
+    neither, so its type is never decided.  Whenever the best grows, the
+    floor rises to one past the smaller of its size and `limit`, so the
+    enumerator does not build such a polygon either; the size test stays,
+    so the summary is the same on any iterable.  A tagged search avoids nZ^2, checked once,
+    up front, and every other polygon is tested with typeclass._has_type,
+    without a freeness test.
     """
     tagged = tag != "any"
     if tagged and search.avoid != scaled_lattice(n):
@@ -642,6 +662,7 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search, n: int,
             continue
         if size > best_size:
             best, best_size = poly, size
+            floor[0] = min(size, limit) + 1
         if size > limit:
             over.append(poly)
     return best, over
@@ -714,8 +735,9 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
 
 
 def _first_kernel(polygons: Iterator[LatticePolygon], search: _Search,
-                  size: int) -> LatticePolygon | None:
-    """The first polygon with exactly `size` vertices, if any."""
+                  floor: list[int], size: int) -> LatticePolygon | None:
+    """The first polygon with exactly `size` vertices, if any.  The floor
+    is never raised."""
     return next((poly for poly in polygons if len(poly) == size), None)
 
 
@@ -761,8 +783,9 @@ def _reduces(tag: str, vs: tuple[Vec, ...], n: int) -> bool:
 
 
 def _corpus_kernel(polygons: Iterator[LatticePolygon], search: _Search,
-                   n: int):
-    """Classify each polygon and run its reduction pipeline.
+                   floor: list[int], n: int):
+    """Classify each polygon and run its reduction pipeline.  The floor is
+    never raised: every polygon is built and classified.
 
     The search avoids nZ^2, checked once up front, so each polygon goes to
     classify's search core without classify's own freeness test, and only

@@ -8,6 +8,7 @@ it.  Campaign results on small regions are frozen after hand inspection.
 import json
 import pickle
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -41,6 +42,7 @@ from latgon import verify
 from latgon.typeclass import PIPELINES, _classify_core, _has_type
 from latgon.verify import (
     _anchors,
+    _campaign,
     _corpus_kernel,
     _dir_half,
     _direction_steps,
@@ -49,6 +51,7 @@ from latgon.verify import (
     _lattice_family,
     _max_kernel,
     _reduces,
+    _run_task,
     _Search,
     _triangle_has_point,
 )
@@ -182,8 +185,9 @@ def test_budget_error_pickles():
 # the ray-table enumerator against the per-node walk it replaces
 
 
-def reference_iter_from_anchor(anchor, search, counter, budget):
-    """The enumerator that walks every ray afresh at every node."""
+def reference_iter_from_anchor(anchor, search, counter, budget, floor):
+    """The enumerator that walks every ray afresh at every node.  No test
+    raises the floor of a stream it compares, so the floor is not read."""
     region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
     x_min, x_max = region.x_min, region.x_max
@@ -239,7 +243,7 @@ def _per_task(enumerate_from, search):
     for anchor in _anchors(search):
         counter = [0, 0]
         polys = [(P.vertices, *counter) for P in enumerate_from(
-            anchor, search, counter, 10 ** 9)]
+            anchor, search, counter, 10 ** 9, [0])]
         out.append((anchor, polys, counter[0], counter[1]))
     return out
 
@@ -249,8 +253,8 @@ def _under_budget(enumerate_from, search, budget):
     counter, polys = [0, 0], []
     try:
         for anchor in _anchors(search):
-            polys += [P.vertices for P in enumerate_from(anchor, search,
-                                                         counter, budget)]
+            polys += [P.vertices for P in enumerate_from(
+                anchor, search, counter, budget, [0])]
     except BudgetExceededError as exc:
         return polys, (exc.nodes, exc.polygons_seen), counter
     return polys, None, counter
@@ -323,7 +327,7 @@ def test_enumerator_budget_window_matches_per_node_walk(name):
     search = REFERENCE_SEARCHES[name]
     log, yielded_at = _CountLog(), set()
     for anchor in _anchors(search):
-        for _ in _iter_from_anchor(anchor, search, log, 10 ** 9):
+        for _ in _iter_from_anchor(anchor, search, log, 10 ** 9, [0]):
             yielded_at.add(log[0])
     rejected = sorted(set(log.seen_at) - yielded_at)
     inside_runs = {node for old, new in log.node_steps
@@ -344,7 +348,7 @@ def test_enumerator_budget_stop_in_first_run():
     too, is the per-node walk's."""
     search = REFERENCE_SEARCHES["factors-1-3-residue-1"]
     log = _CountLog()
-    list(_iter_from_anchor(_anchors(search)[0], search, log, 10 ** 9))
+    list(_iter_from_anchor(_anchors(search)[0], search, log, 10 ** 9, [0]))
     assert log.node_steps[0] == (0, 4)
     for budget in range(-3, 5):
         got = _under_budget(_iter_from_anchor, search, budget)
@@ -353,33 +357,52 @@ def test_enumerator_budget_stop_in_first_run():
         assert got[1] == (max(budget, 0) + 1, 0)
 
 
+#: Bound campaigns whose kernel raises the vertex floor: the benchmark's
+#: untagged and tagged calls.
+RECHECKED_CAMPAIGNS = (("any", SearchRegion(-3, 3, -3, 3)),
+                       ("V", SearchRegion(-3, 2, -2, 2)))
+
+
 def test_enumerator_recheck_fires(monkeypatch):
     """Each emitted polygon is re-checked against the lattice, so a
     fan-triangle test that never finds a point is caught, also with asserts
-    off."""
+    off, and also by bound campaigns, which build only the polygons that
+    their kernel can still use."""
     monkeypatch.setattr(verify, "_triangle_has_point",
                         lambda L, a, b, c: False)
     search = REFERENCE_SEARCHES["3Z2-dedup-small"]
     with pytest.raises(InvariantViolation, match=r"\) meets Lattice2"):
         for anchor in _anchors(search):
-            list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9))
+            list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9, [0]))
+    for tag, region in RECHECKED_CAMPAIGNS:
+        with pytest.raises(InvariantViolation, match=r"\) meets Lattice2"):
+            check_vertex_bound(3, tag, None, region)
     code = "\n".join([
         "import sys",
         "import latgon.verify as verify",
-        "from latgon import InvariantViolation, SearchRegion, scaled_lattice",
+        "from latgon import (InvariantViolation, SearchRegion,",
+        "                    check_vertex_bound, scaled_lattice)",
         "verify._triangle_has_point = lambda L, a, b, c: False",
         "search = verify._Search(SearchRegion(-2, 2, -2, 2), 3,",
         "                        scaled_lattice(3), True, None)",
         "try:",
         "    for anchor in verify._anchors(search):",
-        "        list(verify._iter_from_anchor(anchor, search, [0, 0], 10**9))",
+        "        list(verify._iter_from_anchor(anchor, search, [0, 0], 10**9,",
+        "                                      [0]))",
         "except InvariantViolation as exc:",
         "    print(sys.flags.optimize, exc)",
+        f"for tag, region in {RECHECKED_CAMPAIGNS!r}:",
+        "    try:",
+        "        check_vertex_bound(3, tag, None, region)",
+        "    except InvariantViolation as exc:",
+        "        print(sys.flags.optimize, tag, exc)",
     ])
     proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("1 ((")
-    assert ") meets Lattice2" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    for line, head in zip(lines, ("1 ((", "1 any ((", "1 V ((")):
+        assert line.startswith(head) and ") meets Lattice2" in line
 
 
 def _cross(o, a, b):
@@ -652,7 +675,7 @@ def task_streams():
         for dedup in (True, False):
             search = _Search(region, 3, scaled_lattice(3), dedup, None)
             out[region, dedup] = search, [
-                list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9))
+                list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9, [0]))
                 for anchor in _anchors(search)]
     return out
 
@@ -687,8 +710,8 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     limit = len(best) - 1 if best else 0
     search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
                      None)
-    kernel_best, over = _max_kernel(iter(tagged_stream_24), search, 3, tag,
-                                    limit)
+    kernel_best, over = _max_kernel(iter(tagged_stream_24), search, [0], 3,
+                                    tag, limit)
     assert kernel_best == best
     assert over == [P for P in matches if len(P) > limit]
     assert (len(over) > 0) is (tag != "IV")
@@ -722,7 +745,7 @@ def test_max_kernel_matches_the_loop_that_types_every_polygon(task_streams,
         for limit in (8, max(sizes, default=1) - 1):
             summaries = [reference_max_kernel(polys, 3, tag, limit)
                          for polys in tasks]
-            assert [_max_kernel(iter(polys), search, 3, tag, limit)
+            assert [_max_kernel(iter(polys), search, [0], 3, tag, limit)
                     for polys in tasks] == summaries
             if limit < 8:
                 assert any(over for _, over in summaries) is bool(sizes)
@@ -749,15 +772,120 @@ def test_tagged_campaign_types_only_polygons_that_could_change_the_report(
     assert report.counterexamples == ()
 
 
+@lru_cache(maxsize=None)
+def full_task_stream(search, anchor, budget):
+    """A task's stream under the budget, every polygon built, with its
+    nodes, polygons seen and budget stop; kept for the tests of every
+    tag."""
+    counter, polys, exhausted = [0, 0], [], False
+    try:
+        for P in _iter_from_anchor(anchor, search, counter, budget, [0]):
+            polys.append(P)
+    except BudgetExceededError:
+        exhausted = True
+    return tuple(polys), counter[0], counter[1], exhausted
+
+
+def reference_campaign(searches, n, tag, limit, budget):
+    """What _campaign yields for _max_kernel: each task's full stream under
+    the budget left, summarised by reference_max_kernel, with running
+    totals."""
+    nodes = seen = 0
+    for search in searches:
+        for anchor in _anchors(search):
+            polys, t_nodes, t_seen, exhausted = full_task_stream(
+                search, anchor, budget - nodes)
+            nodes, seen = nodes + t_nodes, seen + t_seen
+            yield (reference_max_kernel(polys, n, tag, limit), nodes, seen,
+                   exhausted)
+            if exhausted:
+                return
+
+
+#: Bound campaigns whose kernel raises the floor, as (n, searches, cheap):
+#: [-1,4]², which holds every type but IV, with dedup and without, and the
+#: (1, 2) vertex-lattice family at n = 4, whose two searches are cheap
+#: enough for more budget cuts and a worker pool.
+FLOOR_CAMPAIGNS = [
+    *((3, [_Search(SearchRegion(-1, 4, -1, 4), 3, scaled_lattice(3), dedup,
+                   None)], False) for dedup in (True, False)),
+    (4, [_Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(4), False,
+                 vlat) for vlat in _lattice_family(1, 2)], True),
+]
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER + ("any",))
+def test_bound_floor_never_changes_a_summary(tag, rng):
+    """Each task's summary, nodes, polygons seen and budget stop are those
+    of its full stream under the same budget: with the limit at 8 and one
+    below the largest size, under budgets that cut tasks short, and at one
+    and two workers."""
+    for n, searches, cheap in FLOOR_CAMPAIGNS:
+        full = list(reference_campaign(searches, n, tag, 8, 10 ** 9))
+        total = full[-1][1]
+        largest = max((len(best) for (best, _), *_ in full if best),
+                      default=1)
+        for limit in (8, largest - 1):
+            for search in searches:
+                for anchor in _anchors(search):
+                    polys, *counts = full_task_stream(search, anchor, 10 ** 9)
+                    assert _run_task(
+                        (_max_kernel, (n, tag, limit), search, anchor, 10 ** 9)
+                    ) == (reference_max_kernel(polys, n, tag, limit), *counts)
+            for budget in rng.sample(range(total), 2 if cheap else 1):
+                assert list(_campaign(
+                    _max_kernel, (n, tag, limit), searches, budget, 1)
+                ) == list(reference_campaign(searches, n, tag, limit,
+                                             budget)), (limit, budget)
+        if cheap:
+            budget = rng.randrange(total)
+            assert list(_campaign(_max_kernel, (n, tag, largest - 1),
+                                  searches, budget, 2)) == list(
+                reference_campaign(searches, n, tag, largest - 1, budget))
+            assert list(_campaign(_max_kernel, (n, tag, 8), searches,
+                                  10 ** 9, 2)) == full
+
+
+def test_campaigns_build_only_the_polygons_their_kernel_can_use(
+        monkeypatch):
+    """Each built polygon is re-checked once, so the re-checks count the
+    polygons built.  The bound campaigns of the benchmark build only those
+    their kernel can still use, over the nodes of the full search; the
+    corpus and the enumerator, whose consumers read every polygon, build
+    them all."""
+    calls = []
+    free_of = verify.is_free_of
+
+    def counted(P, L):
+        calls.append(P)
+        return free_of(P, L)
+
+    monkeypatch.setattr(verify, "is_free_of", counted)
+    report = check_vertex_bound(3, "any", None, SearchRegion(-3, 3, -3, 3))
+    assert (len(calls), report.nodes_explored) == (56, 618802)
+    calls.clear()
+    # At one worker, so the builds run where they are counted; the floor
+    # is per task, so two workers build the same polygons.
+    report = check_vertex_bound(3, "V", None, SearchRegion(-3, 2, -2, 2))
+    assert (len(calls), report.nodes_explored) == (3591, 105207)
+    calls.clear()
+    report, tally = verify_reduction_corpus(3, SearchRegion(-2, 4, -2, 1))
+    assert len(calls) == tally["total"] == 4557
+    calls.clear()
+    polys = list(enumerate_convex_polygons(SearchRegion(-3, 3, -3, 3),
+                                           avoid=scaled_lattice(3)))
+    assert len(calls) == len(polys) == 27014
+
+
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
     region = SearchRegion(-2, 2, -2, 2)
     for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
         search = _Search(region, 3, avoid, False, None)
         with pytest.raises(InvariantViolation, match="tagged V"):
-            _max_kernel(iter(()), search, 3, "V", 8)
+            _max_kernel(iter(()), search, [0], 3, "V", 8)
     # Untagged campaigns, such as the capture bound, avoid any lattice.
     assert _max_kernel(iter(()), _Search(region, 3, Lattice2(1, 0, 2), True,
-                                         None), 2, "any", 4) == (None, [])
+                                         None), [0], 2, "any", 4) == (None, [])
 
 
 @pytest.mark.parametrize(
@@ -867,7 +995,7 @@ def test_corpus_warm_cache_gives_the_cold_outcome(corpus_images,
     misses = _reduces.cache_info().misses
     search = _Search(CORPUS_REGION, 3, scaled_lattice(3), True, None)
     warm_tally, warm_failures, _ = _corpus_kernel(
-        (P for P, _image in corpus_images), search, 3)
+        (P for P, _image in corpus_images), search, [0], 3)
     assert _reduces.cache_info().misses == misses
     assert tuple(warm_failures) == report.counterexamples != ()
     assert warm_tally == Counter({k: v for k, v in tally.items() if v})
@@ -904,7 +1032,8 @@ def test_corpus_kernel_refuses_search_off_scaled_lattice():
     region = SearchRegion(-2, 2, -2, 2)
     for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
         with pytest.raises(InvariantViolation, match="reduction corpus"):
-            _corpus_kernel(iter(()), _Search(region, 3, avoid, True, None), 3)
+            _corpus_kernel(iter(()), _Search(region, 3, avoid, True, None),
+                           [0], 3)
 
 
 def test_verify_reduction_corpus_validation():
