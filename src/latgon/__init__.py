@@ -24,7 +24,6 @@ from .polygon import (
     contains_point,
     from_points,
     is_free_of,
-    splits_by_ray,
     splits_by_segment,
     transform,
 )
@@ -71,7 +70,6 @@ _LAZY = dict.fromkeys((
     "check_th36_witness",
     "forms_small_angle",
     "frame_splits",
-    "frame_splits_polygon_slope",
     "maximal_slopes",
     "run_fuzz_suite",
 ), "latgon.slope")

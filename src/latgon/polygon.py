@@ -140,9 +140,8 @@ def contains_point(P: LatticePolygon, point: Vec) -> str:
     return "boundary" if on_edge else "interior"
 
 
-def _chord_within(P: LatticePolygon, a: Vec, d: Vec, bounded: bool) -> bool:
-    """True iff the line a + t*d splits P and its chord lies at t >= 0, and
-    also at t <= 1 when `bounded`.
+def _chord_within(P: LatticePolygon, a: Vec, d: Vec) -> bool:
+    """True iff the line a + t*d splits P and its chord lies at 0 <= t <= 1.
 
     One pass computes each vertex's side s = cross(d, v - a).  A vertex on
     the line is a chord endpoint at t = w / |d|^2, w the projection of v - a
@@ -160,19 +159,19 @@ def _chord_within(P: LatticePolygon, a: Vec, d: Vec, bounded: bool) -> bool:
         s1 = dx * y1 - dy * x1 - c
         if s1 == 0:
             w = dx * (x1 - ax) + dy * (y1 - ay)
-            if w < 0 or bounded and w > dx * dx + dy * dy:
+            if w < 0 or w > dx * dx + dy * dy:
                 return False
         elif s1 < 0:
             neg = True
             if s0 > 0:
                 num = (x1 - ax) * (y0 - ay) - (x0 - ax) * (y1 - ay)
-                if num < 0 or bounded and num > s0 - s1:
+                if num < 0 or num > s0 - s1:
                     return False
         else:
             pos = True
             if s0 < 0:
                 num = (x0 - ax) * (y1 - ay) - (x1 - ax) * (y0 - ay)
-                if num < 0 or bounded and num > s1 - s0:
+                if num < 0 or num > s1 - s0:
                     return False
         x0, y0, s0 = x1, y1, s1
     return neg and pos
@@ -186,14 +185,7 @@ def splits_by_segment(P: LatticePolygon, seg: Segment) -> bool:
     in the closed segment.
     """
     d = (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1])
-    return _chord_within(P, seg.a, d, True)
-
-
-def splits_by_ray(P: LatticePolygon, origin: Vec, direction: Vec) -> bool:
-    """Like splits_by_segment for the half-line origin + t*direction, t >= 0."""
-    if direction == (0, 0):
-        raise ValueError("zero direction")
-    return _chord_within(P, origin, direction, False)
+    return _chord_within(P, seg.a, d)
 
 
 def is_free_of(P: LatticePolygon, L: Lattice2) -> bool:

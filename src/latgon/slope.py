@@ -3,10 +3,10 @@
 A slope is a chain of integer points whose consecutive differences, expressed
 in a basis of two signed axes, have positive first and negative second
 coordinate and turn counterclockwise.  The four maximal slopes of a convex
-polygon are the arcs between its extreme points; the split machinery relates
-those arcs to frames (an origin plus a signed basis) whose rays cut the
-polygon, and the witness searches certify the edge-count bounds that make the
-classification theorems quantitative.
+polygon are the arcs between its extreme points; the split machinery decides
+when a frame (an origin plus a signed basis) splits a slope, and the witness
+searches certify the edge-count bounds that make the classification theorems
+quantitative.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import gcd
 
 from .lattice import (SIGNED_AXES, InvariantViolation, Lattice2, Vec,
                       contains, scaled_lattice, span_of_points, step_profile)
-from .polygon import LatticePolygon, contains_point, splits_by_ray
+from .polygon import LatticePolygon
 
 #: All eight signed bases (ordered pairs of perpendicular signed axes).
 ALL_SIGNED_BASES: tuple[tuple[Vec, Vec], ...] = tuple(
@@ -359,29 +359,6 @@ def check_th36_witness(f: Frame, q: Slope) -> tuple[int, int]:
     if 2 * N > limit - cut or (span_of_points(rel) != 1 and 2 * N > limit - 1):
         raise WitnessNotFound(f"a derived bound fails for {coords}")
     return found
-
-
-def frame_splits_polygon_slope(f: Frame, P: LatticePolygon) -> int:
-    """Index k of the maximal slope of P split by the frame.
-
-    Requires the frame origin to lie outside P and both frame rays to split
-    it; k is determined by the frame's basis alone, and the corresponding
-    maximal slope is verified to split (failure would be a bug or a
-    counterexample, so it raises InvariantViolation).
-    """
-    if contains_point(P, f.origin) != "outside":
-        raise ValueError(f"frame origin {f.origin} must lie outside the polygon")
-    for ray in (f.basis.f1, f.basis.f2):
-        if not splits_by_ray(P, f.origin, ray):
-            raise ValueError(f"frame ray {ray} from {f.origin} does not split")
-    # Slope k is read in basis QUADRANT_BASES[k]; the frame uses it or its swap.
-    k = next(k for k in range(1, 5)
-             if QUADRANT_BASES[k] in (f.basis, f.basis.swapped()))
-    qk = maximal_slopes(P).slopes()[k - 1]
-    if not frame_splits(f, qk):
-        raise InvariantViolation(
-            f"maximal slope {k} fails to split the frame: bug or counterexample")
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def _lift(P: LatticePolygon, n: int
     upper_split_before = splits_by_segment(P, upper_seg)
 
     a0 = 0
-    while _chord_within(P, (0, 0), (-n, -(a0 + 1) * n), True):
+    while _chord_within(P, (0, 0), (-n, -(a0 + 1) * n)):
         a0 += 1
     limit = _west_split_limit(P, n)
     if limit != a0:
@@ -491,7 +491,7 @@ PIPELINES = {"V": reduce_type_v, "VI": reduce_type_vi, "IV": reduce_type_iv}
 # (x, y) -> (a*x + b*y + sx, c*x + d*y + sy).  Only the returned state is
 # built as an AffineMap and a PolygonType.
 
-#: classify's default search bound and state limit.
+#: classify's default search bound, and its state limit, read at each call.
 _SEARCH_BOUND = 6
 _STATE_LIMIT = 20000
 
@@ -558,8 +558,7 @@ def _images(P: LatticePolygon, n: int, bound: int):
 
 
 def _classify_core(P: LatticePolygon, n: int,
-                   search_bound: int = _SEARCH_BOUND,
-                   state_limit: int = _STATE_LIMIT
+                   search_bound: int = _SEARCH_BOUND
                    ) -> tuple[str, tuple[Vec, ...], tuple[int, ...]]:
     """(tag, image vertices, integer map) of the first state of classify's
     search that has a type, and its first tag in TAG_ORDER, for a polygon
@@ -570,9 +569,9 @@ def _classify_core(P: LatticePolygon, n: int,
     Raises RuntimeError as classify does.
     """
     for tested, (vs, box, m) in enumerate(_images(P, n, search_bound), 1):
-        if tested > state_limit:
+        if tested > _STATE_LIMIT:
             raise RuntimeError(
-                f"classification state limit {state_limit} exceeded"
+                f"classification state limit {_STATE_LIMIT} exceeded"
             )
         for tag in TAG_ORDER:
             if _has_type(vs, box, n, tag):
@@ -582,8 +581,8 @@ def _classify_core(P: LatticePolygon, n: int,
     )
 
 
-def classify(P: LatticePolygon, n: int, search_bound: int = _SEARCH_BOUND,
-             state_limit: int = _STATE_LIMIT) -> tuple[AffineMap, PolygonType]:
+def classify(P: LatticePolygon, n: int, search_bound: int = _SEARCH_BOUND
+             ) -> tuple[AffineMap, PolygonType]:
     """Find an nZ^2-automorphism carrying P into some position type.
 
     Breadth-first search over compositions of a fixed generator family
@@ -591,13 +590,12 @@ def classify(P: LatticePolygon, n: int, search_bound: int = _SEARCH_BOUND,
     translations), pruning maps whose matrix entries exceed search_bound or
     whose shift components exceed search_bound*n.  Returns the first
     (map, type) found, testing tags in canonical order; raises RuntimeError
-    when more than state_limit states (P included) would be tested or the
+    when more than _STATE_LIMIT states (P included) would be tested or the
     bounded search is exhausted.
     """
     _check_scale(n)
     if not is_free_of(P, scaled_lattice(n)):
         raise ValueError("polygon is not free of the scaled lattice")
-    tag, _vs, (a, b, c, d, sx, sy) = _classify_core(P, n, search_bound,
-                                                    state_limit)
+    tag, _vs, (a, b, c, d, sx, sy) = _classify_core(P, n, search_bound)
     return (AffineMap(UnimodularMap(((a, b), (c, d))), (sx, sy)),
             PolygonType(tag, n))

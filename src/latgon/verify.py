@@ -31,23 +31,24 @@ budget stops and the emitted stream are those of walking every ray afresh
 at every node.  A program stops compiling where its replay must cross the
 budget, so the budget bounds all of a search's work, not only its nodes.
 The search carries each chain's bounding box down with it.  A closed chain
-is counted as seen, then tested, before it is built, against the task's
-vertex floor (the least vertex count its kernel can still use) and for
+is counted as seen, then tested, before it is built, against the vertex
+floor (the least vertex count its consumer can still use) and for
 dedup on that box, each box's verdict computed once per anchor; only the
 polygons that pass both are built as checked polygons and re-checked
 against the lattice by the column scan of `is_free_of`, a route apart from
 the fan-triangle test.  That is the one re-check: no campaign kernel
-repeats it or the constructor's.  Only the bound kernel raises the floor,
-past the sizes that can no longer change its report;
-`enumerate_convex_polygons`, the sharpness witness search and the reduction
-corpus build every polygon.
+repeats it or the constructor's.  `enumerate_convex_polygons` holds the
+floor at its `min_vertices`, and the sharpness witness search is the first
+polygon of that stream at its target size; the bound kernel raises the
+floor past the sizes that can no longer change its report, and the
+reduction corpus builds every polygon.
 
-Every campaign (the vertex-count bounds, the point-capture bound, sharpness
-witnesses, the reduction pipelines) runs through one driver.  Each anchor
-subtree is a task whose polygons the campaign's kernel folds into a small
-summary, in this process or in a pool worker; summaries merge in anchor
-order, and a pool task that ran past the budget left is run again with it,
-so no report depends on the worker count.
+Every campaign (the vertex-count bounds, the point-capture bound, the
+reduction pipelines) runs through one driver.  Each anchor subtree is a
+task whose polygons the campaign's kernel folds into a small summary, in
+this process or in a pool worker; summaries merge in anchor order, and a
+pool task that ran past the budget left is run again with it, so no report
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -269,11 +270,10 @@ def _is_canonical(box: tuple[int, int, int, int], L: Lattice2,
 
 @dataclass(frozen=True)
 class _Search:
-    """Polygons of `region` with >= `min_vertices` vertices, free of `avoid`
-    (one per translation class if `dedup`), vertices on `vertex_lattice`."""
+    """Polygons of `region` free of `avoid` (one per translation class if
+    `dedup`), vertices on `vertex_lattice`."""
 
     region: SearchRegion
-    min_vertices: int
     avoid: Lattice2 | None
     dedup: bool
     vertex_lattice: Lattice2 | None
@@ -286,7 +286,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     those with fewer than floor[0] vertices.
 
     counter[0] counts nodes (chain prefixes, plus the node where a ray stops)
-    and counter[1] the polygons seen, those under the floor included;
+    and counter[1] the polygons seen, every closed chain of 3 or more
+    vertices, those under the floor included;
     BudgetExceededError is raised at the node that takes counter[0] past
     `budget`.  floor[0] is read at each closed chain, so a consumer may
     raise it between polygons.
@@ -299,7 +300,6 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     first = _first_steps(region, search.vertex_lattice)
     halves = tuple(_dir_half(d) for d in steps)
     past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
-    emit_min = max(3, search.min_vertices)
     verts: list[Vec] = [anchor]
     # One tuple per region point, shared by every row that reaches it.
     shared = {p: p for p in region.points()}
@@ -444,7 +444,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                                ny if ny < y_lo else y_lo,
                                ny if ny > y_hi else y_hi)
                 verts.pop()
-            elif nxt is not None and len(verts) >= emit_min:
+            elif nxt is not None and len(verts) >= 3:
                 counter[1] += 1
                 if len(verts) < floor[0]:
                     continue
@@ -530,14 +530,16 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
     With `avoid` given, only polygons free of that lattice appear, one
     representative per translation class within the region (the translate
     whose bounding-box corner is lex-least).  Raises BudgetExceededError when
-    the chain-prefix node budget runs out.
+    the chain-prefix node budget runs out; where it runs out does not depend
+    on `min_vertices`, the stream's vertex floor.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    search = _Search(region, min_vertices, avoid, True, None)
+    search = _Search(region, avoid, True, None)
     counter = [0, 0]
     for anchor in _anchors(search):
-        yield from _iter_from_anchor(anchor, search, counter, budget, [0])
+        yield from _iter_from_anchor(anchor, search, counter, budget,
+                                     [min_vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
 # enumerator builds no polygon under it.
 
 def _run_task(task: tuple) -> tuple:
-    """(summary, nodes, polygons seen, budget exhausted) for one task.
+    """(summary, nodes, budget exhausted) for one task.
 
     Running out of budget ends the kernel's input; it does not raise.  The
     task's vertex floor starts at 0 on every run, so it is the same at any
@@ -566,25 +568,24 @@ def _run_task(task: tuple) -> tuple:
             exhausted = True
 
     summary = kernel(polygons(), search, floor, *args)
-    return summary, counter[0], counter[1], exhausted
+    return summary, counter[0], exhausted
 
 
 def _campaign(kernel, args: tuple, searches: list[_Search],
               budget: int | None, workers: int) -> Iterator[tuple]:
-    """Yield (summary, nodes, polygons seen, exhausted) per task, in order.
+    """Yield (summary, nodes, exhausted) per task, in order.
 
-    Nodes and polygons seen are running totals, and the task that exhausts
-    the budget is the last.  A serial task gets the budget that is left.
-    Pool tasks run ahead with the whole budget; the one whose nodes cross
-    what is left is run again here with what is left.  So every worker count
-    yields what workers=1 yields.  No more workers start than there are
-    tasks.
+    Nodes are a running total, and the task that exhausts the budget is
+    the last.  A serial task gets the budget that is left.  Pool tasks run
+    ahead with the whole budget; the one whose nodes cross what is left is
+    run again here with what is left.  So every worker count yields what
+    workers=1 yields.  No more workers start than there are tasks.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
     tasks = [(kernel, args, search, anchor)
              for search in searches for anchor in _anchors(search)]
-    nodes = seen = 0
+    nodes = 0
     workers = min(workers, len(tasks))
     if workers > 1:
         # A one-worker campaign never loads multiprocessing.
@@ -596,13 +597,12 @@ def _campaign(kernel, args: tuple, searches: list[_Search],
                           (task + (budget - nodes,) for task in tasks))
         else:
             results = pool.imap(_run_task, [task + (budget,) for task in tasks])
-        for task, (summary, t_nodes, t_seen, exhausted) in zip(tasks, results):
+        for task, (summary, t_nodes, exhausted) in zip(tasks, results):
             if pool is not None and nodes and t_nodes > budget - nodes:
-                summary, t_nodes, t_seen, exhausted = _run_task(
+                summary, t_nodes, exhausted = _run_task(
                     task + (budget - nodes,))
             nodes += t_nodes
-            seen += t_seen
-            yield summary, nodes, seen, exhausted
+            yield summary, nodes, exhausted
             if exhausted:
                 return
 
@@ -673,7 +673,7 @@ def _max_report(bound_name: str, n: int, delta: int, region: SearchRegion,
                 budget: int | None, workers: int) -> BoundReport:
     """Merge the _max_kernel summaries of the searches, in task order."""
     best, over, nodes, exhausted = None, [], 0, False
-    for (task_best, task_over), nodes, _seen, exhausted in _campaign(
+    for (task_best, task_over), nodes, exhausted in _campaign(
             _max_kernel, kernel_args, searches, budget, workers):
         if task_best is not None and (best is None
                                       or len(task_best) > len(best)):
@@ -710,7 +710,7 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
         name = (f"vertex-count<={bound}[factors=({vertex_lattice.delta},"
                 f"{vertex_lattice.n})]")
         families = list(_lattice_family(vertex_lattice.delta, vertex_lattice.n))
-    searches = [_Search(region, 3, scaled_lattice(n), tag == "any", vlat)
+    searches = [_Search(region, scaled_lattice(n), tag == "any", vlat)
                 for vlat in families]
     return _max_report(name, n,
                        vertex_lattice.delta if vertex_lattice else 1, region,
@@ -727,25 +727,18 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
     free polygon reaching capture_threshold(delta, n) vertices refutes the
     claim and is reported.
     """
-    searches = [_Search(region, 3, lat, True, None)
+    searches = [_Search(region, lat, True, None)
                 for lat in _lattice_family(delta, n)]
     nu = capture_threshold(delta, n)
     return _max_report(f"capture-at-{nu}-vertices", n, delta, region,
                        searches, (n, "any", nu - 1), budget, workers)
 
 
-def _first_kernel(polygons: Iterator[LatticePolygon], search: _Search,
-                  floor: list[int], size: int) -> LatticePolygon | None:
-    """The first polygon with exactly `size` vertices, if any.  The floor
-    is never raised."""
-    return next((poly for poly in polygons if len(poly) == size), None)
-
-
 def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
-                           budget: int | None = None,
-                           workers: int = 1) -> LatticePolygon | None:
+                           budget: int | None = None) -> LatticePolygon | None:
     """A polygon with capture_threshold - 1 vertices avoiding delta*Z x n*Z.
 
+    The first polygon of that size in enumerate_convex_polygons' stream.
     Returns None when the threshold leaves no room for a polygon (fewer than
     3 vertices) or when the region holds no witness; neither is a refutation.
     Raises BudgetExceededError when the budget runs out before a witness.
@@ -754,14 +747,8 @@ def find_sharpness_witness(delta: int, n: int, region: SearchRegion,
     target = capture_threshold(delta, n) - 1
     if target < 3:
         return None
-    search = _Search(region, target, avoid, True, None)
-    for found, nodes, seen, exhausted in _campaign(
-            _first_kernel, (target,), [search], budget, workers):
-        if found is not None:
-            return found
-        if exhausted:
-            raise BudgetExceededError(nodes, seen)
-    return None
+    return next((poly for poly in enumerate_convex_polygons(
+        region, target, avoid, budget) if len(poly) == target), None)
 
 
 # Bounded, so a corpus larger than any of the acceptance campaigns keeps a
@@ -837,12 +824,12 @@ def verify_reduction_corpus(n: int, region: SearchRegion,
     if n not in (3, 4):
         raise ValueError(f"the reduction corpus runs at desk scale (3 or 4), got {n}")
     _reduces.cache_clear()
-    search = _Search(region, 3, scaled_lattice(n), True, None)
+    search = _Search(region, scaled_lattice(n), True, None)
     tally = dict.fromkeys((*TAG_ORDER, "total",
                            *("reduced_" + t.lower() for t in PIPELINES)), 0)
     failures: list[LatticePolygon] = []
     max_found, nodes, exhausted = 0, 0, False
-    for (part, part_failures, part_max), nodes, _seen, exhausted in _campaign(
+    for (part, part_failures, part_max), nodes, exhausted in _campaign(
             _corpus_kernel, (n,), [search], budget, workers):
         for key, count in part.items():
             tally[key] += count

@@ -13,20 +13,19 @@ from conftest import cli_stdout_digest
 
 PUBLIC_NAMES = [
     "AffineMap", "BoundReport", "BudgetExceededError", "Frame",
-    "InvariantFactors", "InvariantViolation", "Lattice2",
-    "LatticePolygon", "MaximalSlopes", "PolygonType", "REGION_PRESETS",
-    "ReductionStep", "ReductionTrace", "SearchRegion", "Segment",
-    "SignedBasis", "Slope", "SlopeError", "StepProfile", "TAG_ORDER",
-    "UnimodularMap", "WitnessNotFound", "area2_and_pick", "capture_threshold",
-    "check_main_theorem", "check_slp_witness",
-    "check_th36_witness", "check_vertex_bound", "classify", "contains",
-    "contains_point", "enumerate_convex_polygons", "find_sharpness_witness",
-    "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
-    "from_points", "hnf_canonicalize", "invariant_factors", "is_free_of",
-    "lattice", "lift", "maximal_slopes", "polygon", "polygon_types",
-    "reduce_type_iv", "reduce_type_v", "reduce_type_vi", "run_fuzz_suite",
-    "scaled_lattice", "shear_lattice", "slope", "span_of_points",
-    "splits_by_ray", "splits_by_segment", "step_profile", "transform",
+    "InvariantFactors", "InvariantViolation", "Lattice2", "LatticePolygon",
+    "MaximalSlopes", "PolygonType", "REGION_PRESETS", "ReductionStep",
+    "ReductionTrace", "SearchRegion", "Segment", "SignedBasis", "Slope",
+    "SlopeError", "StepProfile", "TAG_ORDER", "UnimodularMap",
+    "WitnessNotFound", "area2_and_pick", "capture_threshold",
+    "check_main_theorem", "check_slp_witness", "check_th36_witness",
+    "check_vertex_bound", "classify", "contains", "contains_point",
+    "enumerate_convex_polygons", "find_sharpness_witness", "forms_small_angle",
+    "frame_splits", "from_points", "hnf_canonicalize", "invariant_factors",
+    "is_free_of", "lattice", "lift", "maximal_slopes", "polygon",
+    "polygon_types", "reduce_type_iv", "reduce_type_v", "reduce_type_vi",
+    "run_fuzz_suite", "scaled_lattice", "shear_lattice", "slope",
+    "span_of_points", "splits_by_segment", "step_profile", "transform",
     "type_predicate", "typeclass", "verify", "verify_reduction_corpus",
 ]
 
@@ -159,6 +158,18 @@ SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
          "--workers", "2"], True, 0,
         "1b34f65a891d5255e000d812cf4f7503983fccf76bca1f25554fb70412aa2a9a",
         id="bound-tag-v-w2-O"),
+    # Criterion 4's region, whose report is readme-bound-preset's, at one
+    # and two workers.
+    pytest.param(
+        ["verify-bound", "--n", "3", "--region=-3,6,-3,6", "--workers", "1"],
+        True, 0,
+        "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
+        id="criterion-4-w1-O"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--region=-3,6,-3,6", "--workers", "2"],
+        True, 0,
+        "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
+        id="criterion-4-w2-O"),
 ])
 def test_cli_output(argv, optimize, code, sha256):
     """Each call's exit code and the sha256 of its standard output.

@@ -30,7 +30,6 @@ from latgon import (
     from_points,
     is_free_of,
     scaled_lattice,
-    splits_by_ray,
     splits_by_segment,
     transform,
 )
@@ -287,9 +286,6 @@ def test_splits_by_segment_chords():
 def test_splits_by_segment_respects_extent():
     assert splits_by_segment(DIAMOND, Segment((0, 0), (2, 2)))
     assert not splits_by_segment(DIAMOND, Segment((0, 0), (1, 1)))
-    assert splits_by_ray(DIAMOND, (0, 0), (1, 1))
-    assert not splits_by_ray(DIAMOND, (2, 2), (1, 1))
-    assert splits_by_ray(DIAMOND, (2, 2), (-1, -1))
 
 
 def test_splits_by_segment_polygon_off_the_line():
@@ -304,8 +300,6 @@ def test_splits_by_segment_polygon_off_the_line():
 def test_segment_validation():
     with pytest.raises(ValueError):
         Segment((1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        splits_by_ray(DIAMOND, (0, 0), (0, 0))
 
 
 def test_segment_split_implies_line_split(rng):
@@ -394,17 +388,13 @@ def test_splits_by_segment_and_ray_match_rational_chords(rng):
         ux, uy = rng.choice(TYPE_DIRECTIONS)
         a = (n * rng.randint(-8 // n, 8 // n), n * rng.randint(-8 // n, 8 // n))
         cases.append(("nZ2", P, a, (n * ux, n * uy), 1))
-    outcomes = {(family, kind): set()
-                for family in ("random", "nZ2") for kind in ("segment", "ray")}
+    outcomes = {family: set() for family in ("random", "nZ2")}
     for family, P, a, d, k in cases:
         chord = chord_oracle(P, a, d)
         b = (a[0] + k * d[0], a[1] + k * d[1])
-        seg_expected = chord is not None and chord[0] >= 0 and chord[1] <= k
-        assert splits_by_segment(P, Segment(a, b)) == seg_expected, (P, a, b)
-        ray_expected = chord is not None and chord[0] >= 0
-        assert splits_by_ray(P, a, d) == ray_expected, (P, a, d)
-        outcomes[family, "segment"].add(seg_expected)
-        outcomes[family, "ray"].add(ray_expected)
+        expected = chord is not None and chord[0] >= 0 and chord[1] <= k
+        assert splits_by_segment(P, Segment(a, b)) == expected, (P, a, b)
+        outcomes[family].add(expected)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 

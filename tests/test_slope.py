@@ -18,7 +18,6 @@ from latgon import (
     enumerate_convex_polygons,
     forms_small_angle,
     frame_splits,
-    frame_splits_polygon_slope,
     from_points,
     hnf_canonicalize,
     maximal_slopes,
@@ -365,33 +364,6 @@ def test_th36_witness_random(rng):
 
 
 # ---------------------------------------------------------------------------
-# Which maximal slope a frame splits
-
-
-WRAP = from_points([(-1, 2), (2, -1), (3, 1), (1, 3)])
-
-
-@pytest.mark.parametrize("polygon, basis, expected", [
-    (WRAP, ((1, 0), (0, 1)), 4),
-    (from_points([(x, y) for x, y in
-                  [(1, -2), (-2, 1), (-3, -1), (-1, -3)]]), ((-1, 0), (0, -1)), 2),
-    (from_points([(-2, -1), (1, 2), (-1, 3), (-3, 1)]), ((0, 1), (-1, 0)), 1),
-])
-def test_frame_quadrant_table(polygon, basis, expected):
-    f = Frame((0, 0), SignedBasis(*basis))
-    assert frame_splits_polygon_slope(f, polygon) == expected
-
-
-def test_frame_quadrant_rejects_bad_setups():
-    inside = Frame((1, 1), E12)
-    with pytest.raises(ValueError):
-        frame_splits_polygon_slope(inside, WRAP)
-    missing_ray = Frame((4, 4), E12)
-    with pytest.raises(ValueError):
-        frame_splits_polygon_slope(missing_ray, WRAP)
-
-
-# ---------------------------------------------------------------------------
 # Fuzz suite plumbing
 
 
@@ -412,8 +384,7 @@ def test_fuzz_suite_smoke():
 SLOPE_NAMES = (
     "Frame", "MaximalSlopes", "SignedBasis", "Slope", "SlopeError",
     "WitnessNotFound", "check_slp_witness", "check_th36_witness",
-    "forms_small_angle", "frame_splits", "frame_splits_polygon_slope",
-    "maximal_slopes", "run_fuzz_suite",
+    "forms_small_angle", "frame_splits", "maximal_slopes", "run_fuzz_suite",
 )
 
 

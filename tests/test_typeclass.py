@@ -430,14 +430,14 @@ def test_west_scan_matches_sheared_image(liftable3, rng):
     for P in liftable3:
         a0 = lift(P, n)[0]
         for a in range(a0 + n + 8):
-            assert (_chord_within(P, (0, 0), (-n, -a * n), True)
+            assert (_chord_within(P, (0, 0), (-n, -a * n))
                     == splits_by_segment(transform(P, _shear_map(a)), west)
                     ), (P, a)
     for _ in range(400):
         P = random_polygon(rng, lo=-6, hi=6)
         n = rng.randint(1, 5)
         for a in range(-3, 4):
-            assert (_chord_within(P, (0, 0), (-n, -a * n), True)
+            assert (_chord_within(P, (0, 0), (-n, -a * n))
                     == splits_by_segment(transform(P, _shear_map(a)),
                                          west_segment(n))), (P, n, a)
 
@@ -739,9 +739,10 @@ def test_classify_exhausted_bound():
         classify(P, 3, search_bound=0)
 
 
-def test_classify_state_limit():
-    with pytest.raises(RuntimeError, match="state limit"):
-        classify(SQUARE, 3, state_limit=0)
+def test_classify_state_limit(monkeypatch):
+    monkeypatch.setattr(typeclass, "_STATE_LIMIT", 0)
+    with pytest.raises(RuntimeError, match="state limit 0 exceeded"):
+        classify(SQUARE, 3)
 
 
 def test_classify_validation():
@@ -874,15 +875,17 @@ def test_classify_matches_reference_search_at_scale_4(corpus4):
 
 
 @pytest.mark.parametrize("state_limit", [0, 1, 2, 5, 25])
-def test_classify_state_limit_matches_reference(reduce_corpus, state_limit):
+def test_classify_state_limit_matches_reference(reduce_corpus, state_limit,
+                                                monkeypatch):
     """Both searches raise, or both return the same, at every limit."""
     sample = random.Random(6).sample(reduce_corpus, 300)
     identity = (((1, 0), (0, 1)), (0, 0))
     moved_va = [r for r in map(partial(_outcome, classify), sample)
                 if r[2] == "Va" and r[:2] != identity]
     assert len(moved_va) >= 5  # the sample reaches depth 1
+    monkeypatch.setattr(typeclass, "_STATE_LIMIT", state_limit)
     for P in sample:
-        assert (_outcome(classify, P, state_limit=state_limit)
+        assert (_outcome(classify, P)
                 == _outcome(reference_classify, P, state_limit=state_limit)), P
 
 

@@ -186,8 +186,8 @@ def test_budget_error_pickles():
 
 
 def reference_iter_from_anchor(anchor, search, counter, budget, floor):
-    """The enumerator that walks every ray afresh at every node.  No test
-    raises the floor of a stream it compares, so the floor is not read."""
+    """The enumerator that walks every ray afresh at every node: a closed
+    chain of 3 or more vertices is seen, and emitted from floor[0] up."""
     region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
     x_min, x_max = region.x_min, region.x_max
@@ -196,7 +196,6 @@ def reference_iter_from_anchor(anchor, search, counter, budget, floor):
     n_dirs = len(steps)
     halves = tuple(_dir_half(d) for d in steps)
     past_pi = tuple(1 if (d[1] < 0 and d[0] <= 0) else 0 for d in steps)
-    emit_min = max(3, search.min_vertices)
     verts = [anchor]
 
     def rec(last, cx, cy):
@@ -212,9 +211,10 @@ def reference_iter_from_anchor(anchor, search, counter, budget, floor):
                         avoid, anchor, (px, py), (nx, ny)):
                     break
                 if nx == ax and ny == ay:
-                    if len(verts) >= emit_min:
-                        poly = LatticePolygon(tuple(verts))
+                    if len(verts) >= 3:
                         counter[1] += 1
+                    if len(verts) >= max(3, floor[0]):
+                        poly = LatticePolygon(tuple(verts))
                         if avoid is None or not dedup or _is_canonical(
                                 poly.bounding_box(), avoid, region):
                             if avoid is not None and not is_free_of(poly, avoid):
@@ -236,14 +236,15 @@ def reference_iter_from_anchor(anchor, search, counter, budget, floor):
     yield from rec(-1, ax, ay)
 
 
-def _per_task(enumerate_from, search):
-    """(polygons, nodes, polygons seen) of each anchor task; each polygon
-    comes with the counters at the moment it is yielded."""
+def _per_task(enumerate_from, search, floor=0):
+    """(polygons, nodes, polygons seen) of each anchor task under the vertex
+    floor; each polygon comes with the counters at the moment it is
+    yielded."""
     out = []
     for anchor in _anchors(search):
         counter = [0, 0]
         polys = [(P.vertices, *counter) for P in enumerate_from(
-            anchor, search, counter, 10 ** 9, [0])]
+            anchor, search, counter, 10 ** 9, [floor])]
         out.append((anchor, polys, counter[0], counter[1]))
     return out
 
@@ -261,30 +262,32 @@ def _under_budget(enumerate_from, search, budget):
 
 
 REFERENCE_SEARCHES = {
-    "no-avoid": _Search(SearchRegion(0, 3, 0, 3), 3, None, True, None),
-    "no-avoid-min5": _Search(SearchRegion(-1, 2, 0, 3), 5, None, True, None),
-    "3Z2-dedup": _Search(SearchRegion(-2, 3, -2, 3), 3, scaled_lattice(3),
+    "no-avoid": _Search(SearchRegion(0, 3, 0, 3), None, True, None),
+    "no-avoid-min5": _Search(SearchRegion(-1, 2, 0, 3), None, True, None),
+    "3Z2-dedup": _Search(SearchRegion(-2, 3, -2, 3), scaled_lattice(3),
                          True, None),
-    "3Z2-dedup-small": _Search(SearchRegion(-2, 2, -2, 2), 3,
+    "3Z2-dedup-small": _Search(SearchRegion(-2, 2, -2, 2),
                                scaled_lattice(3), True, None),
-    "2Z2-tagged": _Search(SearchRegion(-3, 3, -2, 2), 3, scaled_lattice(2),
+    "2Z2-tagged": _Search(SearchRegion(-3, 3, -2, 2), scaled_lattice(2),
                           False, None),
     # A sheared lattice: here a translate's fit, so the dedup verdict,
     # depends on the box's height, not only on its corner and width.
-    "sheared-dedup": _Search(SearchRegion(-2, 3, -2, 3), 3,
+    "sheared-dedup": _Search(SearchRegion(-2, 3, -2, 3),
                              _lattice_family(1, 3)[1], True, None),
 }
 REFERENCE_SEARCHES.update(
     (f"factors-1-3-residue-{r}",
-     _Search(SearchRegion(-3, 6, -3, 6), 3, scaled_lattice(3), True, vlat))
+     _Search(SearchRegion(-3, 6, -3, 6), scaled_lattice(3), True, vlat))
     for r, vlat in enumerate(_lattice_family(1, 3)))
+#: The vertex floor a search's stream is compared at, where it is not 0.
+REFERENCE_FLOORS = {"no-avoid-min5": 5}
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SEARCHES))
 def test_enumerator_matches_per_node_walk(name):
-    search = REFERENCE_SEARCHES[name]
-    got = _per_task(_iter_from_anchor, search)
-    assert got == _per_task(reference_iter_from_anchor, search)
+    search, floor = REFERENCE_SEARCHES[name], REFERENCE_FLOORS.get(name, 0)
+    got = _per_task(_iter_from_anchor, search, floor)
+    assert got == _per_task(reference_iter_from_anchor, search, floor)
     assert sum(len(polys) for _, polys, _, _ in got) > 0
 
 
@@ -383,7 +386,7 @@ def test_enumerator_recheck_fires(monkeypatch):
         "from latgon import (InvariantViolation, SearchRegion,",
         "                    check_vertex_bound, scaled_lattice)",
         "verify._triangle_has_point = lambda L, a, b, c: False",
-        "search = verify._Search(SearchRegion(-2, 2, -2, 2), 3,",
+        "search = verify._Search(SearchRegion(-2, 2, -2, 2),",
         "                        scaled_lattice(3), True, None)",
         "try:",
         "    for anchor in verify._anchors(search):",
@@ -491,8 +494,6 @@ def test_check_main_theorem_pentagon_capture():
     pytest.param(lambda w: check_vertex_bound(
         3, "any", InvariantFactors(1, 3), SearchRegion(-2, 4, -2, 4),
         workers=w), id="vertex-bound-factors"),
-    pytest.param(lambda w: find_sharpness_witness(
-        3, 3, SearchRegion(-3, 6, -3, 6), workers=w), id="witness"),
     pytest.param(lambda w: verify_reduction_corpus(
         3, SearchRegion(-2, 3, -2, 3), workers=w), id="reduction-corpus"),
 ])
@@ -524,16 +525,16 @@ def test_campaign_starts_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     region = SearchRegion(-3, 3, -3, 3)
-    tasks = _anchors(_Search(region, 3, scaled_lattice(3), True, None))
+    tasks = _anchors(_Search(region, scaled_lattice(3), True, None))
     assert len(tasks) == 18
     assert (check_vertex_bound(3, "any", None, region, workers=64)
             == check_vertex_bound(3, "any", None, region))
     assert sizes == [18]
-    # The witness search avoids Z x 3Z: in [0,1]^2 its one anchor is (0, 1).
-    one = _Search(SearchRegion(0, 1, 0, 1), 4, _lattice_family(1, 3)[0],
-                  True, None)
-    assert _anchors(one) == [(0, 1)]
-    assert find_sharpness_witness(1, 3, one.region, workers=4) is None
+    # Avoiding Z x 3Z, [0,1]^2 has one anchor, (0, 1).
+    one = [_Search(SearchRegion(0, 1, 0, 1), Lattice2(1, 0, 3), True, None)]
+    assert _anchors(one[0]) == [(0, 1)]
+    assert (list(_campaign(_max_kernel, (3, "any", 8), one, None, 4))
+            == list(_campaign(_max_kernel, (3, "any", 8), one, None, 1)))
     assert sizes == [18]
 
 
@@ -545,13 +546,16 @@ def test_one_worker_campaigns_load_neither_slope_nor_pool():
     code = "\n".join([
         "import json, sys",
         "from dataclasses import asdict",
-        "from latgon import (SearchRegion, check_vertex_bound,",
-        "                    find_sharpness_witness, verify_reduction_corpus)",
+        "from latgon import (Lattice2, SearchRegion, check_vertex_bound,",
+        "                    verify_reduction_corpus)",
+        "from latgon.verify import _campaign, _max_kernel, _Search",
         "region = SearchRegion(-1, 2, -1, 2)",
         "one = check_vertex_bound(3, 'any', None, region)",
         "report, tally = verify_reduction_corpus(3, SearchRegion(-1, 2, -1, 1))",
         "# Five workers asked for, one task: (0, 1) is the one anchor.",
-        "find_sharpness_witness(1, 3, SearchRegion(0, 1, 0, 1), workers=5)",
+        "tiny = _Search(SearchRegion(0, 1, 0, 1), Lattice2(1, 0, 3), True,",
+        "               None)",
+        "list(_campaign(_max_kernel, (3, 'any', 8), [tiny], None, 5))",
         "unloaded = {'latgon.slope', 'multiprocessing'} - set(sys.modules)",
         "two = check_vertex_bound(3, 'any', None, region, workers=2)",
         "print(json.dumps({'unloaded': sorted(unloaded),",
@@ -591,10 +595,29 @@ def test_check_main_theorem_validation(delta, n):
             campaign(delta, n, SearchRegion(0, 3, 0, 3))
 
 
-def test_sharpness_witness_budget_exceeded():
+@pytest.mark.parametrize("min_vertices", [3, 5])
+def test_budget_stop_does_not_depend_on_the_vertex_floor(min_vertices):
+    """Every closed chain of 3 or more vertices is seen, whatever the
+    stream's vertex floor, so the budget stops at the same node with the
+    same polygons seen."""
     with pytest.raises(BudgetExceededError) as exc:
-        find_sharpness_witness(1, 3, SearchRegion(-3, 6, -3, 6), budget=10)
-    assert exc.value.nodes == 11
+        list(enumerate_convex_polygons(SearchRegion(0, 5, 0, 5),
+                                       min_vertices=min_vertices, budget=5000))
+    assert (exc.value.nodes, exc.value.polygons_seen) == (5001, 1002)
+
+
+def test_sharpness_witness_budget_exceeded():
+    """The witness search stops where the stream it reads stops: 4-gons
+    avoiding Z x 3Z."""
+    region = SearchRegion(-3, 6, -3, 6)
+    stops = []
+    for search in (lambda: find_sharpness_witness(1, 3, region, budget=10),
+                   lambda: list(enumerate_convex_polygons(
+                       region, 4, Lattice2(1, 0, 3), budget=10))):
+        with pytest.raises(BudgetExceededError) as exc:
+            search()
+        stops.append((exc.value.nodes, exc.value.polygons_seen))
+    assert stops == [(11, 0), (11, 0)]
 
 
 def test_sharpness_witness_found():
@@ -673,7 +696,7 @@ def task_streams():
     out = {}
     for region in KERNEL_REGIONS:
         for dedup in (True, False):
-            search = _Search(region, 3, scaled_lattice(3), dedup, None)
+            search = _Search(region, scaled_lattice(3), dedup, None)
             out[region, dedup] = search, [
                 list(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9, [0]))
                 for anchor in _anchors(search)]
@@ -708,7 +731,7 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     # A limit one below the largest size sends the largest polygons down
     # the over-limit path: each is reported.
     limit = len(best) - 1 if best else 0
-    search = _Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(3), False,
+    search = _Search(SearchRegion(-2, 4, -2, 4), scaled_lattice(3), False,
                      None)
     kernel_best, over = _max_kernel(iter(tagged_stream_24), search, [0], 3,
                                     tag, limit)
@@ -775,29 +798,27 @@ def test_tagged_campaign_types_only_polygons_that_could_change_the_report(
 @lru_cache(maxsize=None)
 def full_task_stream(search, anchor, budget):
     """A task's stream under the budget, every polygon built, with its
-    nodes, polygons seen and budget stop; kept for the tests of every
-    tag."""
+    nodes and budget stop; kept for the tests of every tag."""
     counter, polys, exhausted = [0, 0], [], False
     try:
         for P in _iter_from_anchor(anchor, search, counter, budget, [0]):
             polys.append(P)
     except BudgetExceededError:
         exhausted = True
-    return tuple(polys), counter[0], counter[1], exhausted
+    return tuple(polys), counter[0], exhausted
 
 
 def reference_campaign(searches, n, tag, limit, budget):
     """What _campaign yields for _max_kernel: each task's full stream under
-    the budget left, summarised by reference_max_kernel, with running
-    totals."""
-    nodes = seen = 0
+    the budget left, summarised by reference_max_kernel, with the running
+    node total."""
+    nodes = 0
     for search in searches:
         for anchor in _anchors(search):
-            polys, t_nodes, t_seen, exhausted = full_task_stream(
+            polys, t_nodes, exhausted = full_task_stream(
                 search, anchor, budget - nodes)
-            nodes, seen = nodes + t_nodes, seen + t_seen
-            yield (reference_max_kernel(polys, n, tag, limit), nodes, seen,
-                   exhausted)
+            nodes += t_nodes
+            yield reference_max_kernel(polys, n, tag, limit), nodes, exhausted
             if exhausted:
                 return
 
@@ -807,19 +828,19 @@ def reference_campaign(searches, n, tag, limit, budget):
 #: (1, 2) vertex-lattice family at n = 4, whose two searches are cheap
 #: enough for more budget cuts and a worker pool.
 FLOOR_CAMPAIGNS = [
-    *((3, [_Search(SearchRegion(-1, 4, -1, 4), 3, scaled_lattice(3), dedup,
+    *((3, [_Search(SearchRegion(-1, 4, -1, 4), scaled_lattice(3), dedup,
                    None)], False) for dedup in (True, False)),
-    (4, [_Search(SearchRegion(-2, 4, -2, 4), 3, scaled_lattice(4), False,
+    (4, [_Search(SearchRegion(-2, 4, -2, 4), scaled_lattice(4), False,
                  vlat) for vlat in _lattice_family(1, 2)], True),
 ]
 
 
 @pytest.mark.parametrize("tag", TAG_ORDER + ("any",))
 def test_bound_floor_never_changes_a_summary(tag, rng):
-    """Each task's summary, nodes, polygons seen and budget stop are those
-    of its full stream under the same budget: with the limit at 8 and one
-    below the largest size, under budgets that cut tasks short, and at one
-    and two workers."""
+    """Each task's summary, nodes and budget stop are those of its full
+    stream under the same budget: with the limit at 8 and one below the
+    largest size, under budgets that cut tasks short, and at one and two
+    workers."""
     for n, searches, cheap in FLOOR_CAMPAIGNS:
         full = list(reference_campaign(searches, n, tag, 8, 10 ** 9))
         total = full[-1][1]
@@ -880,11 +901,11 @@ def test_campaigns_build_only_the_polygons_their_kernel_can_use(
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
     region = SearchRegion(-2, 2, -2, 2)
     for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
-        search = _Search(region, 3, avoid, False, None)
+        search = _Search(region, avoid, False, None)
         with pytest.raises(InvariantViolation, match="tagged V"):
             _max_kernel(iter(()), search, [0], 3, "V", 8)
     # Untagged campaigns, such as the capture bound, avoid any lattice.
-    assert _max_kernel(iter(()), _Search(region, 3, Lattice2(1, 0, 2), True,
+    assert _max_kernel(iter(()), _Search(region, Lattice2(1, 0, 2), True,
                                          None), [0], 2, "any", 4) == (None, [])
 
 
@@ -993,7 +1014,7 @@ def test_corpus_warm_cache_gives_the_cold_outcome(corpus_images,
     fail_on_one_v_image(corpus_images, monkeypatch)
     report, tally = verify_reduction_corpus(3, CORPUS_REGION)
     misses = _reduces.cache_info().misses
-    search = _Search(CORPUS_REGION, 3, scaled_lattice(3), True, None)
+    search = _Search(CORPUS_REGION, scaled_lattice(3), True, None)
     warm_tally, warm_failures, _ = _corpus_kernel(
         (P for P, _image in corpus_images), search, [0], 3)
     assert _reduces.cache_info().misses == misses
@@ -1032,7 +1053,7 @@ def test_corpus_kernel_refuses_search_off_scaled_lattice():
     region = SearchRegion(-2, 2, -2, 2)
     for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
         with pytest.raises(InvariantViolation, match="reduction corpus"):
-            _corpus_kernel(iter(()), _Search(region, 3, avoid, True, None),
+            _corpus_kernel(iter(()), _Search(region, avoid, True, None),
                            [0], 3)
 
 
