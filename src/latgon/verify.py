@@ -30,6 +30,12 @@ crosses the budget stops at the node that crosses it; so node counts,
 budget stops and the emitted stream are those of walking every ray afresh
 at every node.  A program stops compiling where its replay must cross the
 budget, so the budget bounds all of a search's work, not only its nodes.
+A state's subtree does not depend on the chain either, so the table also
+keeps each replayed state's totals: its nodes, its closed chains seen and
+its longest completion.  A descent to a state whose longest completion
+stays under the vertex floor, and whose nodes fit in the budget, adds the
+totals in one step instead of replaying the subtree; the floor never falls
+within a search, so node counts, budget stops and the stream are unchanged.
 The search carries each chain's bounding box down with it.  A closed chain
 is counted as seen, then tested, before it is built, against the vertex
 floor (the least vertex count its consumer can still use) and for
@@ -58,7 +64,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from math import gcd
+from math import gcd, inf
 from typing import Iterator
 
 from .lattice import (
@@ -289,8 +295,28 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     and counter[1] the polygons seen, every closed chain of 3 or more
     vertices, those under the floor included;
     BudgetExceededError is raised at the node that takes counter[0] past
-    `budget`.  floor[0] is read at each closed chain, so a consumer may
-    raise it between polygons.
+    `budget`.  floor[0] is read at each closed chain and each descent, so a
+    consumer may raise it between polygons; it must never lower it.
+
+    A state's totals, kept once its replay ends, are the nodes and the
+    polygons seen in its subtree and its longest completion: the most
+    vertices a closed chain in the subtree has past the state's own chain
+    (-inf when it holds none).  The subtree does not depend on the chain
+    that reached the state, and neither do its totals.  A closing at depth
+    2 is not seen, but no state entered at depth 2 is ever entered deeper:
+    it is (p, j) with p = anchor + t*d_j, and d_j points into the right
+    half-plane, because every ray from the anchor into the left one is cut
+    at its first step.  A deeper chain would reach p - s*d_j from the anchor
+    by directions before j, each clockwise of d_j by less than a half turn,
+    so their sum is not parallel to d_j.  A descent to a state with totals
+    therefore adds them in one step, instead of replaying the state, when
+    no closed chain in the subtree reaches the floor and the budget has
+    room for all its nodes: the counters, the budget stop and the stream
+    are the replay's.  That relies on the floor never falling within a
+    task, so that a subtree that emits nothing under the floor it is
+    skipped at emits nothing under any later floor either.
+    `enumerate_convex_polygons` holds the floor fixed, and `_max_kernel`
+    only raises it.
     """
     region, avoid, dedup = search.region, search.avoid, search.dedup
     ax, ay = anchor
@@ -307,8 +333,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def rays(c: Vec) -> tuple:
-        """(js, rows, stops, top, programs) for the rays from c that enter
-        the region.
+        """(js, rows, stops, top, programs, totals) for the rays from c that
+        enter the region.
 
         Along a ray the chain may extend to each point in turn (its
         extensions); after them the ray may end at one more point of the
@@ -320,7 +346,9 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         stops before j; a last row, with j past every direction, counts the
         stops after them.  `js` holds the j of each row, and `top` the
         largest j of a ray with a row (-1 if none).  `programs` maps each
-        direction index that c has been reached by to its event program.
+        direction index that c has been reached by to its event program,
+        and `totals` each one whose state was replayed to its end to that
+        state's totals (see rec).
         """
         rows, stops = [], []
         cx, cy = c
@@ -359,7 +387,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 stops.append(j)
         top = rows[-1][0] if rows else -1
         rows.append((len(steps), len(stops), (), False))
-        return tuple(row[0] for row in rows), tuple(rows), tuple(stops), top, {}
+        return (tuple(row[0] for row in rows), tuple(rows), tuple(stops),
+                top, {}, {})
 
     def program(entry: tuple, last: int) -> tuple:
         """The event program of the state reached by direction index `last`
@@ -382,7 +411,7 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         most one more of them than the budget has nodes left has its rays
         walked.  A program cut short is not kept.
         """
-        js, rows, stops, _top, programs = entry
+        js, rows, stops, _top, programs, _totals = entry
         events = []
         done = bisect_right(stops, last)
         run = 0
@@ -425,28 +454,46 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
 
     def rec(prog: tuple, x_hi: int, y_lo: int,
             y_hi: int) -> Iterator[LatticePolygon]:
-        """Replay the event program `prog` of the state a chain ends in.
+        """Replay the event program `prog` of the state a chain ends in, and
+        return the state's totals: (nodes, seen, longest).
 
         The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
         anchor, its least x.  A closed chain under the floor is counted and
         dropped; any other is tested for dedup on its box, and each box's
-        verdict is kept.
+        verdict is kept.  A descent that its state's totals rule out, as
+        the docstring above says, adds them instead of replaying the state.
         """
+        size = len(verts)
+        nodes, seen, longest = counter[0], counter[1], -inf
         for count, nxt, j, sub in prog:
             counter[0] += count
             if counter[0] > budget:
                 overrun(count)
             if sub is not None:
-                verts.append(nxt)
-                nx, ny = nxt
-                yield from rec(sub[4].get(j) or program(sub, j),
-                               nx if nx > x_hi else x_hi,
-                               ny if ny < y_lo else y_lo,
-                               ny if ny > y_hi else y_hi)
-                verts.pop()
-            elif nxt is not None and len(verts) >= 3:
+                done = sub[5].get(j)
+                if (done is None or size + 1 + done[2] >= floor[0]
+                        or counter[0] + done[0] > budget):
+                    verts.append(nxt)
+                    nx, ny = nxt
+                    done = sub[5][j] = yield from rec(
+                        sub[4].get(j) or program(sub, j),
+                        nx if nx > x_hi else x_hi,
+                        ny if ny < y_lo else y_lo,
+                        ny if ny > y_hi else y_hi)
+                    verts.pop()
+                else:
+                    counter[0] += done[0]
+                    if done[1]:
+                        counter[1] += done[1]
+                if done[2] >= longest:
+                    longest = done[2] + 1
+            elif nxt is not None:
+                if longest < 0:
+                    longest = 0
+                if size < 3:
+                    continue
                 counter[1] += 1
-                if len(verts) < floor[0]:
+                if size < floor[0]:
                     continue
                 if avoid is not None and dedup:
                     box = (ax, x_hi, y_lo, y_hi)
@@ -460,16 +507,18 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 if avoid is not None and not is_free_of(poly, avoid):
                     raise InvariantViolation(f"{poly.vertices} meets {avoid}")
                 yield poly
+        return counter[0] - nodes, counter[1] - seen, longest
 
     # rec refers to itself, and the programs refer to table entries that
     # hold programs in turn, so both are reference cycles: clearing the
-    # programs and the table frees them now, not at the next full
-    # collection, which keeps one anchor's table in memory at a time.
+    # programs, the totals and the table frees them now, not at the next
+    # full collection, which keeps one anchor's table in memory at a time.
     try:
         yield from rec(program(rays(anchor), -1), ax, ay, ay)
     finally:
         for entry in table.values():
             entry[4].clear()
+            entry[5].clear()
         table.clear()
         verdicts.clear()
 
@@ -616,7 +665,13 @@ def capture_threshold(delta: int, n: int) -> int:
 
 
 def _lattice_family(delta: int, n: int) -> list[Lattice2]:
-    """Canonical lattices with invariant factors (delta, n): all shear residues."""
+    """The n/delta shear lattices delta * span{(1, r), (0, n/delta)}, for
+    r = 0 .. n/delta - 1.
+
+    Each has invariant factors (delta, n), but they are not every lattice
+    with those factors: psi(n/delta) lattices have them (Dedekind psi), for
+    example 4 at (1, 3), where this lists 3.
+    """
     if delta < 1 or n % delta or delta * n < 2:
         raise ValueError(f"need delta | n and delta*n >= 2, got ({delta}, {n})")
     return [shear_lattice(r, n // delta, scale=delta) for r in range(n // delta)]
@@ -692,11 +747,12 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
                        workers: int = 1) -> BoundReport:
     """Search the region for polygons beating the vertex-count bound.
 
-    Enumerates polygons free of nZ^2 (with vertices confined to each canonical
-    lattice of the given invariant factors, all shear residues, when
-    `vertex_lattice` is supplied), keeps those carrying the requested type tag
-    ("any" for no constraint), and reports the maximum vertex count seen plus
-    any polygon exceeding the applicable bound.
+    Enumerates polygons free of nZ^2, keeps those carrying the requested
+    type tag ("any" for no constraint), and reports the maximum vertex count
+    seen plus any polygon exceeding the applicable bound.  When
+    `vertex_lattice` is supplied, the vertices are confined in turn to each
+    shear lattice of _lattice_family: those have the given invariant
+    factors, but they are not every lattice that has them.
     """
     if n < 3:
         raise ValueError(f"vertex bounds need scale n >= 3, got {n}")
@@ -722,10 +778,12 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
                        workers: int = 1) -> BoundReport:
     """Verify that polygons at the capture threshold contain lattice points.
 
-    For every canonical lattice with invariant factors (delta, n), enumerates
-    the lattice-free polygons of the region up to lattice translation; any
-    free polygon reaching capture_threshold(delta, n) vertices refutes the
-    claim and is reported.
+    For each shear lattice delta * span{(1, r), (0, n/delta)} of
+    _lattice_family, enumerates the lattice-free polygons of the region up
+    to lattice translation; any free polygon reaching
+    capture_threshold(delta, n) vertices refutes the claim and is reported.
+    Those lattices have invariant factors (delta, n), but they are not every
+    lattice that has them.
     """
     searches = [_Search(region, lat, True, None)
                 for lat in _lattice_family(delta, n)]

@@ -2,8 +2,8 @@
 
 A change that adds or drops a public name, or that moves a CLI output, fails
 here, so it does so on purpose: it updates the list or the hash below and
-says so in CHANGES.md.  The heavier CLI calls, criterion 4's and the n = 4
-campaigns under -O, are pinned with the acceptance suite.
+says so in CHANGES.md.  The acceptance suite pins the heavier CLI calls:
+criterion 4's without -O, and the tagged n = 4 campaigns under -O.
 """
 
 import pytest
@@ -170,6 +170,20 @@ SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
         True, 0,
         "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
         id="criterion-4-w2-O"),
+    # The n = 4 campaign on [-4,4]², 39,471,079 nodes, most of them in
+    # subtrees that the vertex floor rules out, at one and two workers.
+    *(pytest.param(
+        ["verify-bound", "--n", "4", "--region=-4,4,-4,4", "--workers", w],
+        True, 0,
+        "615d098995e97a88e7271a1a8a1f03cdf96b70f047a920cc5f39e27de0b08029",
+        id=f"bound-n4-w{w}-O") for w in ("1", "2")),
+    # Criterion 4's region cut at 4,000,001 nodes, a budget stop after the
+    # floor of a task has risen, at one and two workers.
+    *(pytest.param(
+        ["verify-bound", "--n", "3", "--region=-3,6,-3,6", "--budget",
+         "4000000", "--workers", w], True, 3,
+        "659655ae79fe55c0de3330298c74a49fd6acc4536e94ef4dedb03e259c1fdcdf",
+        id=f"criterion-4-budget-w{w}-O") for w in ("1", "2")),
 ])
 def test_cli_output(argv, optimize, code, sha256):
     """Each call's exit code and the sha256 of its standard output.
