@@ -399,7 +399,7 @@ def random_slope(rng, basis: SignedBasis | None = None, max_edges: int = 5,
                  coord_range: int = 12) -> Slope:
     """A random valid slope with up to max_edges edges."""
     if basis is None:
-        basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
+        basis = SignedBasis(*rng.choice(ALL_SIGNED_BASES))
     box = (-coord_range, coord_range)
     return _random_chain(rng, basis, max_edges, 200, ((1, 9), (-9, -1)), (box, box))
 
@@ -407,7 +407,7 @@ def random_slope(rng, basis: SignedBasis | None = None, max_edges: int = 5,
 def random_shear_slope(rng) -> tuple[Slope, tuple[int, int]]:
     """A random slope of up to 4 edges whose vertices lie in
     span{f1 - a*f2, m*f2}; returns (a, m)."""
-    basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
+    basis = SignedBasis(*rng.choice(ALL_SIGNED_BASES))
     m = rng.randint(1, 3)
     a = rng.randint(1, m)
     return _random_chain(rng, basis, 4, 300, ((1, 4), (-4, 0)),
@@ -515,7 +515,7 @@ def random_split_config(rng) -> tuple[Frame, Slope]:
     """A random (frame, slope) pair with frame_splits guaranteed."""
     coord_range = 10
     for _ in range(500):
-        basis = SignedBasis(*ALL_SIGNED_BASES[rng.randrange(len(ALL_SIGNED_BASES))])
+        basis = SignedBasis(*rng.choice(ALL_SIGNED_BASES))
         origin = (rng.randint(-5, 5), rng.randint(-5, 5))
         f = Frame(origin, basis)
         slope_basis = basis if rng.random() < 0.5 else basis.swapped()

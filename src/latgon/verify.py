@@ -20,9 +20,9 @@ order does not change the rows, since a step that any of the three tests
 rejects is a stop, whichever test rejects it.
 The moves from a state, a point and the direction that reached it, do not
 depend on the chain either.  So the first time a chain enters a state, its
-rows are compiled into an event program, kept in the table: each event
-counts a run of nodes and then descends to a point, closes at the anchor or
-ends the state.  A run merges the nodes that yield nothing before the
+rows are compiled into an event program, kept in the state's record: each
+event counts a run of nodes and then descends to a state, closes at the
+anchor or ends the state.  A run merges the nodes that yield nothing before the
 descent or closing (the stops between rows and the extension points that
 no row can go on from) with the node that ends it.  The depth-first search
 replays the programs, checking the budget after each run, and a run that
@@ -30,12 +30,13 @@ crosses the budget stops at the node that crosses it; so node counts,
 budget stops and the emitted stream are those of walking every ray afresh
 at every node.  A program stops compiling where its replay must cross the
 budget, so the budget bounds all of a search's work, not only its nodes.
-A state's subtree does not depend on the chain either, so the table also
-keeps each replayed state's totals: its nodes, its closed chains seen and
-its longest completion.  A descent to a state whose longest completion
-stays under the vertex floor, and whose nodes fit in the budget, adds the
-totals in one step instead of replaying the subtree; the floor never falls
-within a search, so node counts, budget stops and the stream are unchanged.
+A state's subtree does not depend on the chain either, so the record also
+keeps, once the state's replay ends, its totals: its nodes, its closed
+chains seen and its longest completion.  A descent to a state whose
+longest completion stays under the vertex floor, and whose nodes fit in
+the budget, adds the totals in one step instead of replaying the subtree;
+the floor never falls within a search, so node counts, budget stops and
+the stream are unchanged.
 The search carries each chain's bounding box down with it.  A closed chain
 is counted as seen, then tested, before it is built, against the vertex
 floor (the least vertex count its consumer can still use) and for
@@ -298,23 +299,25 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     `budget`.  floor[0] is read at each closed chain and each descent, so a
     consumer may raise it between polygons; it must never lower it.
 
-    A state's totals, kept once its replay ends, are the nodes and the
-    polygons seen in its subtree and its longest completion: the most
-    vertices a closed chain in the subtree has past the state's own chain
-    (-inf when it holds none).  The subtree does not depend on the chain
-    that reached the state, and neither do its totals.  A closing at depth
-    2 is not seen, but no state entered at depth 2 is ever entered deeper:
-    it is (p, j) with p = anchor + t*d_j, and d_j points into the right
-    half-plane, because every ray from the anchor into the left one is cut
-    at its first step.  A deeper chain would reach p - s*d_j from the anchor
-    by directions before j, each clockwise of d_j by less than a half turn,
-    so their sum is not parallel to d_j.  A descent to a state with totals
-    therefore adds them in one step, instead of replaying the state, when
-    no closed chain in the subtree reaches the floor and the budget has
-    room for all its nodes: the counters, the budget stop and the stream
-    are the replay's.  That relies on the floor never falling within a
-    task, so that a subtree that emits nothing under the floor it is
-    skipped at emits nothing under any later floor either.
+    A state's record is [entry, j, program, totals]: the table entry of its
+    point, the direction index j that reached it, its event program once
+    compiled and its totals once its replay ends, else None.  The totals
+    are the nodes and the polygons seen in its subtree and its longest
+    completion: the most vertices a closed chain in the subtree has past
+    the state's own chain (-inf when it holds none).  The subtree does not
+    depend on the chain that reached the state, and neither do its totals.
+    A closing at depth 2 is not seen, but no state entered at depth 2 is
+    ever entered deeper: it is (p, j) with p = anchor + t*d_j, and d_j
+    points into the right half-plane, because every ray from the anchor
+    into the left one is cut at its first step.  A deeper chain would reach
+    p - s*d_j from the anchor by directions before j, each clockwise of d_j
+    by less than a half turn, so their sum is not parallel to d_j.  A
+    descent to a state with totals therefore adds them in one step, instead
+    of replaying the state, when no closed chain in the subtree reaches the
+    floor and the budget has room for all its nodes: the counters, the
+    budget stop and the stream are the replay's.  That relies on the floor
+    never falling within a task, so that a subtree that emits nothing under
+    the floor it is skipped at emits nothing under any later floor either.
     `enumerate_convex_polygons` holds the floor fixed, and `_max_kernel`
     only raises it.
     """
@@ -333,8 +336,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def rays(c: Vec) -> tuple:
-        """(js, rows, stops, top, programs, totals) for the rays from c that
-        enter the region.
+        """(js, rows, stops, top, states) for the rays from c that enter
+        the region.
 
         Along a ray the chain may extend to each point in turn (its
         extensions); after them the ray may end at one more point of the
@@ -345,10 +348,8 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         closes, has a row (j, k, extensions, closes), where k counts the
         stops before j; a last row, with j past every direction, counts the
         stops after them.  `js` holds the j of each row, and `top` the
-        largest j of a ray with a row (-1 if none).  `programs` maps each
-        direction index that c has been reached by to its event program,
-        and `totals` each one whose state was replayed to its end to that
-        state's totals (see rec).
+        largest j of a ray with a row (-1 if none).  `states` maps each
+        direction index that a program names c by to that state's record.
         """
         rows, stops = [], []
         cx, cy = c
@@ -388,44 +389,44 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         top = rows[-1][0] if rows else -1
         rows.append((len(steps), len(stops), (), False))
         return (tuple(row[0] for row in rows), tuple(rows), tuple(stops),
-                top, {}, {})
+                top, {})
 
-    def program(entry: tuple, last: int) -> tuple:
-        """The event program of the state reached by direction index `last`
-        at a point with table entry `entry`, compiled and kept in the entry.
+    def program(state: list) -> tuple:
+        """The event program of the state whose record is `state`.
 
-        An event (count, nxt, j, sub) counts `count` nodes and then descends
-        to the point nxt, whose table entry is sub, by direction index j.
-        When sub is None, nxt is the anchor, which the event's last node
-        closes at, or None for the run of nodes after the last descent or
-        closing.  The nodes before a descent or closing yield nothing: the
-        stops between rows, a row's own stop among them, and each extension
-        point with no row past the direction that reaches it (a leaf), with
-        its stops.  So an event's count merges them with the node that ends
-        it.  A state that is descended into has a row past the direction,
-        so its program is not empty.
+        An event (count, nxt, sub) counts `count` nodes and then descends
+        to the point nxt, into the state whose record is sub, found in or
+        added to nxt's entry.  When sub is None, nxt is the anchor, which
+        the event's last node closes at, or None for the run of nodes after
+        the last descent or closing.  The nodes before a descent or closing
+        yield nothing: the stops between rows, a row's own stop among them,
+        and each extension point with no row past the direction that
+        reaches it (a leaf), with its stops.  So an event's count merges
+        them with the node that ends it.  A state that is descended into
+        has a row past the direction, so its program is not empty.
 
         Once the compiled events and run count more nodes than the budget
         has left, the replay crosses the budget inside them, so compiling
         stops there.  Each extension point counts at least one node, so at
         most one more of them than the budget has nodes left has its rays
-        walked.  A program cut short is not kept.
+        walked.  A program cut short is replayed at once into the budget
+        stop, after which nothing reads the table.
         """
-        js, rows, stops, _top, programs, _totals = entry
+        (js, rows, stops, _top, _states), last, _prog, _totals = state
         events = []
         done = bisect_right(stops, last)
         run = 0
         # The nodes the budget has left, less those the events count; at
         # least 0 to start with, so a program cut short counts a node.
         left = max(budget - counter[0], 0)
-        whole = True
         for j, k, ext, closes in rows[bisect_right(js, last):]:
             run += k - done
             done = k
             for nxt in ext:
                 sub = table.get(nxt) or table.setdefault(nxt, rays(nxt))
                 if sub[3] > j:
-                    events.append((run + 1, nxt, j, sub))
+                    events.append((run + 1, nxt, sub[4].get(j) or
+                                   sub[4].setdefault(j, [sub, j, None, None])))
                     left -= run + 1
                     run = 0
                 else:
@@ -433,18 +434,14 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 if run > left:
                     break
             if run > left:
-                whole = False
                 break
             if closes:
-                events.append((run + 1, anchor, j, None))
+                events.append((run + 1, anchor, None))
                 left -= run + 1
                 run = 0
         if run:
-            events.append((run, None, -1, None))
-        prog = tuple(events)
-        if whole:
-            programs[last] = prog
-        return prog
+            events.append((run, None, None))
+        return tuple(events)
 
     def overrun(run: int) -> None:
         """The last `run` nodes counted, which yield nothing, took counter[0]
@@ -452,10 +449,10 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         counter[0] = max(counter[0] - run, budget) + 1
         raise BudgetExceededError(counter[0], counter[1])
 
-    def rec(prog: tuple, x_hi: int, y_lo: int,
+    def rec(state: list, x_hi: int, y_lo: int,
             y_hi: int) -> Iterator[LatticePolygon]:
-        """Replay the event program `prog` of the state a chain ends in, and
-        return the state's totals: (nodes, seen, longest).
+        """Replay the state a chain ends in, whose record is `state`, compiling
+        its program on first entry; return its totals (nodes, seen, longest).
 
         The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
         anchor, its least x.  A closed chain under the floor is counted and
@@ -465,19 +462,20 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
         """
         size = len(verts)
         nodes, seen, longest = counter[0], counter[1], -inf
-        for count, nxt, j, sub in prog:
+        if state[2] is None:
+            state[2] = program(state)
+        for count, nxt, sub in state[2]:
             counter[0] += count
             if counter[0] > budget:
                 overrun(count)
             if sub is not None:
-                done = sub[5].get(j)
+                done = sub[3]
                 if (done is None or size + 1 + done[2] >= floor[0]
                         or counter[0] + done[0] > budget):
                     verts.append(nxt)
                     nx, ny = nxt
-                    done = sub[5][j] = yield from rec(
-                        sub[4].get(j) or program(sub, j),
-                        nx if nx > x_hi else x_hi,
+                    done = sub[3] = yield from rec(
+                        sub, nx if nx > x_hi else x_hi,
                         ny if ny < y_lo else y_lo,
                         ny if ny > y_hi else y_hi)
                     verts.pop()
@@ -509,16 +507,16 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 yield poly
         return counter[0] - nodes, counter[1] - seen, longest
 
-    # rec refers to itself, and the programs refer to table entries that
-    # hold programs in turn, so both are reference cycles: clearing the
-    # programs, the totals and the table frees them now, not at the next
+    # rec refers to itself, and each record refers to its point's entry,
+    # which holds the record in turn, so both are reference cycles:
+    # clearing every record and the table frees them now, not at the next
     # full collection, which keeps one anchor's table in memory at a time.
     try:
-        yield from rec(program(rays(anchor), -1), ax, ay, ay)
+        yield from rec([rays(anchor), -1, None, None], ax, ay, ay)
     finally:
         for entry in table.values():
-            entry[4].clear()
-            entry[5].clear()
+            for state in entry[4].values():
+                state.clear()
         table.clear()
         verdicts.clear()
 
@@ -580,7 +578,10 @@ def enumerate_convex_polygons(region: SearchRegion, min_vertices: int = 3,
     representative per translation class within the region (the translate
     whose bounding-box corner is lex-least).  Raises BudgetExceededError when
     the chain-prefix node budget runs out; where it runs out does not depend
-    on `min_vertices`, the stream's vertex floor.
+    on `min_vertices`, the stream's vertex floor.  The nodes of a subtree
+    that the floor rules out count against the budget, though they are
+    added in one step: listing the 684 12-gons of [-5,5]^2 free of 5Z^2
+    walks 1,566,670,264 nodes, so it needs a budget of at least that.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -696,12 +697,11 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search,
     than `limit` vertices.
 
     A polygon no larger than the best so far and than `limit` can change
-    neither, so its type is never decided.  Whenever the best grows, the
-    floor rises to one past the smaller of its size and `limit`, so the
-    enumerator does not build such a polygon either; the size test stays,
-    so the summary is the same on any iterable.  A tagged search avoids nZ^2, checked once,
-    up front, and every other polygon is tested with typeclass._has_type,
-    without a freeness test.
+    neither.  Whenever the best grows, the floor rises to one past the
+    smaller of its size and `limit`, so the enumerator does not build such
+    a polygon, and its type is never decided.  A tagged search avoids nZ^2,
+    checked once, up front, and tests each polygon with
+    typeclass._has_type, without a freeness test.
     """
     tagged = tag != "any"
     if tagged and search.avoid != scaled_lattice(n):
@@ -711,8 +711,6 @@ def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search,
     for poly in polygons:
         vs = poly.vertices
         size = len(vs)
-        if size <= best_size and size <= limit:
-            continue
         if tagged and not _has_type(vs, poly.bounding_box(), n, tag):
             continue
         if size > best_size:

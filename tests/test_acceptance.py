@@ -4,17 +4,12 @@ Each test prints a single `criterion N: PASS (...)` line on success (visible
 under `pytest -v -rA` or `-s`) and enforces the criterion's runtime budget.
 The heavyweight searches (criteria 4 and 8) use four workers; by the
 determinism guarantee the worker count does not change any reported value.
-
-A last table pins the stdout of the heaviest CLI calls, as
-tests/test_contract.py pins the quick ones.
 """
 
 import time
 from contextlib import contextmanager
 
-import pytest
-
-from conftest import cli_stdout_digest, snf_oracle
+from conftest import snf_oracle
 from latgon import (
     InvariantFactors,
     REGION_PRESETS,
@@ -194,23 +189,3 @@ def test_criterion_10_pick_identity_on_the_same_corpus(corpus_04):
         for P in corpus_04:
             twice_area, interior, boundary = area2_and_pick(P)
             assert twice_area == 2 * interior + boundary - 2
-
-
-@pytest.mark.parametrize("argv, optimize, code, sha256", [
-    pytest.param(
-        ["verify-bound", "--n", "3", "--region=-3,6,-3,6"], False, 0,
-        "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
-        id="criterion-4"),
-    pytest.param(
-        ["verify-bound", "--n", "4", "--tag", "IV", "--factors", "1,2",
-         "--region=-4,8,-4,8", "--workers", "2"], True, 0,
-        "d93f666ca1ff8e9258ca480960a6fe94690f3109d0d5739c0fea13adda49dfdc",
-        id="bound-n4-tag-iv"),
-    pytest.param(
-        ["verify-bound", "--n", "4", "--tag", "III", "--factors", "1,2",
-         "--region=-4,8,-4,8", "--workers", "2"], True, 0,
-        "0752f9efe65cb5e4c07196bb51bd301f8247623dcd35723dafb1746aea0aa10e",
-        id="bound-n4-tag-iii"),
-])
-def test_cli_output_of_the_campaigns(argv, optimize, code, sha256):
-    assert cli_stdout_digest(argv, optimize) == (code, sha256)

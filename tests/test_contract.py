@@ -2,8 +2,8 @@
 
 A change that adds or drops a public name, or that moves a CLI output, fails
 here, so it does so on purpose: it updates the list or the hash below and
-says so in CHANGES.md.  The acceptance suite pins the heavier CLI calls:
-criterion 4's without -O, and the tagged n = 4 campaigns under -O.
+says so in CHANGES.md.  The CLI table holds every pinned call, criterion
+4's and the tagged n = 4 campaigns among them.
 """
 
 import pytest
@@ -158,8 +158,12 @@ SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
          "--workers", "2"], True, 0,
         "1b34f65a891d5255e000d812cf4f7503983fccf76bca1f25554fb70412aa2a9a",
         id="bound-tag-v-w2-O"),
-    # Criterion 4's region, whose report is readme-bound-preset's, at one
-    # and two workers.
+    # Criterion 4's region, whose report is readme-bound-preset's, with
+    # asserts on and off, and at one and two workers.
+    pytest.param(
+        ["verify-bound", "--n", "3", "--region=-3,6,-3,6"], False, 0,
+        "12aa0c9baafd1daa8536a7b696f7014e97be429322e7369ce910a536b3ac5366",
+        id="criterion-4"),
     pytest.param(
         ["verify-bound", "--n", "3", "--region=-3,6,-3,6", "--workers", "1"],
         True, 0,
@@ -184,6 +188,18 @@ SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
          "4000000", "--workers", w], True, 3,
         "659655ae79fe55c0de3330298c74a49fd6acc4536e94ef4dedb03e259c1fdcdf",
         id=f"criterion-4-budget-w{w}-O") for w in ("1", "2")),
+    # The tagged n = 4 campaigns: type IV reads its unmet lines, and type
+    # III its unsplit line, on the bounding box.
+    pytest.param(
+        ["verify-bound", "--n", "4", "--tag", "IV", "--factors", "1,2",
+         "--region=-4,8,-4,8", "--workers", "2"], True, 0,
+        "d93f666ca1ff8e9258ca480960a6fe94690f3109d0d5739c0fea13adda49dfdc",
+        id="bound-n4-tag-iv"),
+    pytest.param(
+        ["verify-bound", "--n", "4", "--tag", "III", "--factors", "1,2",
+         "--region=-4,8,-4,8", "--workers", "2"], True, 0,
+        "0752f9efe65cb5e4c07196bb51bd301f8247623dcd35723dafb1746aea0aa10e",
+        id="bound-n4-tag-iii"),
 ])
 def test_cli_output(argv, optimize, code, sha256):
     """Each call's exit code and the sha256 of its standard output.

@@ -461,6 +461,43 @@ def test_bound_task_skips_subtrees_under_its_floor():
     assert len(log.node_steps) < 109143 // 2
 
 
+@pytest.mark.parametrize("end", ["close", "exhaust", "budget"])
+def test_every_end_of_a_stream_clears_its_table_and_state_records(end):
+    """However an anchor's stream ends, closed after its first polygon (as
+    the sharpness witness search closes it), run to its end or stopped by
+    the budget, it empties its ray table, its dedup verdicts and every
+    state record, read here through the suspended generator's frame.  The
+    records and the table entries that hold them are reference cycles, so
+    only this frees them before the next full collection."""
+    search = REFERENCE_SEARCHES["3Z2-dedup-small"]
+    anchor = _anchors(search)[0]
+    counter = [0, 0]
+    first = next(_iter_from_anchor(anchor, search, counter, 10 ** 9, [0]))
+    # Under a budget of the nodes up to the first polygon, the stream
+    # stops at the node after it.
+    budget = counter[0] if end == "budget" else 10 ** 9
+    stream = _iter_from_anchor(anchor, search, [0, 0], budget, [0])
+    assert next(stream) == first
+    names = stream.gi_frame.f_locals
+    table, verdicts = names["table"], names["verdicts"]
+    records = [state for entry in table.values()
+               for state in entry[4].values()]
+    assert verdicts and records
+    assert all(len(state) == 4 and state[0] is entry
+               for entry in table.values() for state in entry[4].values())
+    if end == "close":
+        stream.close()
+    elif end == "exhaust":
+        assert list(stream)
+    else:
+        with pytest.raises(BudgetExceededError) as stop:
+            list(stream)
+        assert stop.value.nodes == budget + 1
+    assert stream.gi_frame is None
+    assert table == {} and verdicts == {}
+    assert all(state == [] for state in records)
+
+
 #: Bound campaigns whose kernel raises the vertex floor: the benchmark's
 #: untagged and tagged calls.
 RECHECKED_CAMPAIGNS = (("any", SearchRegion(-3, 3, -3, 3)),
