@@ -85,16 +85,6 @@ class ReductionTrace:
         return m
 
 
-def _no_multiple_strictly_between(lo: int, hi: int, n: int) -> bool:
-    return (lo // n + 1) * n >= hi
-
-
-def _box_is_i(box: tuple[int, int, int, int], n: int) -> bool:
-    west, east, south, north = box
-    return (_no_multiple_strictly_between(west, east, n)
-            or _no_multiple_strictly_between(south, north, n))
-
-
 @dataclass(frozen=True)
 class TypeShape:
     """The lattice geometry that defines one position type at one scale.
@@ -144,37 +134,66 @@ def _va_triangle(n: int) -> tuple[Vec, Vec, Vec]:
     return (0, 0), (2 * n, 0), (0, 2 * n)
 
 
+def _rules_out(box: tuple[int, int, int, int], n: int, tag: str) -> bool:
+    """Can no polygon whose bounding box contains `box`, with the same west,
+    have type `tag` at scale n?
+
+    The rules read the box alone.  I is ruled out once a multiple of n lies
+    strictly inside both [west, east] and [south, north].  II to VI are ruled
+    out once west >= the least x of the straddle, or the box splits a line
+    of `unsplit` (west < c < east for x = c, south and north for y = c), or
+    it meets a line of `unmet` (<= in place of <).  Va is ruled out once the
+    box leaves the quadrant x, y >= 0 of its triangle's right angle, or
+    reaches east or north past 2n, where its hypotenuse ends (the corners
+    of _va_triangle).  A box that contains `box`, with the same west, has
+    east and north no smaller and south no larger, so each rule that holds
+    at a box holds at every such larger box.
+    """
+    west, east, south, north = box
+    if tag == "I":
+        return ((west // n + 1) * n < east
+                and (south // n + 1) * n < north)
+    if tag == "Va":
+        (cx, cy), (ex, _), (_, ny) = _va_triangle(n)
+        return west < cx or south < cy or east > ex or north > ny
+    shape = type_shape(tag, n)
+    if west >= shape.straddle[0]:
+        return True
+    for axis, c in shape.unsplit:
+        if box[2 * axis] < c < box[2 * axis + 1]:
+            return True
+    for axis, c in shape.unmet:
+        if box[2 * axis] <= c <= box[2 * axis + 1]:
+            return True
+    return False
+
+
 def _has_type(vs: tuple[Vec, ...], box: tuple[int, int, int, int], n: int,
               tag: str) -> bool:
     """Does the polygon with canonical vertices `vs` and bounding box `box`,
     known to be free of nZ^2, have type `tag` at scale n?
 
-    I is read off the box.  So is every `unsplit` and `unmet` line of II to
-    VI: a box's extremes along an axis are its polygon's, so P splits x = c
-    exactly when west < c < east and meets it exactly when west <= c <=
-    east (y = c reads south and north).  A segment on y = c splits P only
-    if south < c < north, so the box must also lie across the `straddle`.
-    Only then is the polygon built and every segment tested.  Va needs the
-    box inside both legs of its triangle and every vertex on or below the
-    hypotenuse.
+    The box is read first: a box's extremes along an axis are its
+    polygon's, so P splits x = c exactly when west < c < east and meets it
+    exactly when west <= c <= east (y = c reads south and north).
+    _rules_out settles I.  A segment on y = c splits P only if south < c <
+    north, so a box of II to VI must lie across the whole `straddle`, the
+    part that _rules_out does not read tested first, as it is the cheaper;
+    only then is the polygon built and every segment tested.  Va needs
+    every vertex on or below the hypotenuse too.
     """
     if tag == "I":
-        return _box_is_i(box, n)
-    west, east, south, north = box
+        return not _rules_out(box, n, tag)
     if tag == "Va":
-        (cx, cy), (hx, hy), _ = _va_triangle(n)
-        return (west >= cx and south >= cy
-                and all(x + y <= hx + hy for x, y in vs))
+        if _rules_out(box, n, tag):
+            return False
+        _, (hx, hy), _ = _va_triangle(n)
+        return all(x + y <= hx + hy for x, y in vs)
     shape = type_shape(tag, n)
-    x_lo, x_hi, y_lo, y_hi = shape.straddle
-    if not (west < x_lo and x_hi < east and south < y_lo and y_hi < north):
+    _x_lo, x_hi, y_lo, y_hi = shape.straddle
+    if (not (x_hi < box[1] and box[2] < y_lo and y_hi < box[3])
+            or _rules_out(box, n, tag)):
         return False
-    for axis, c in shape.unsplit:
-        if box[2 * axis] < c < box[2 * axis + 1]:
-            return False
-    for axis, c in shape.unmet:
-        if box[2 * axis] <= c <= box[2 * axis + 1]:
-            return False
     P = _trusted(vs)
     for seg in shape.segments:
         if not splits_by_segment(P, seg):
@@ -201,10 +220,11 @@ def type_predicate(P: LatticePolygon, n: int, tag: str) -> bool:
 
     A polygon that is not free of nZ^2 has no type (False for every tag).
     Otherwise _has_type decides: the box settles I and every `unsplit` and
-    `unmet` line, and only then are the type's segments tested.  The tagged
-    vertex-bound campaigns and the reduction corpus call _has_type without
-    this freeness test, as their enumerator has already re-checked every
-    polygon it emits against nZ^2.
+    `unmet` line, and only then are the type's segments tested.  The
+    reduction corpus calls _has_type without this freeness test, as its
+    enumerator has already re-checked every polygon it emits against nZ^2;
+    a tagged search calls it on the closed chains its fan-triangle test
+    found free, and re-checks only those of the type.
     """
     _check_scale(n)
     if tag not in TAG_ORDER:

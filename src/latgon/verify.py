@@ -39,9 +39,10 @@ the floor never falls within a search, so node counts, budget stops and
 the stream are unchanged.
 The search carries each chain's bounding box down with it.  A closed chain
 is counted as seen, then tested, before it is built, against the vertex
-floor (the least vertex count its consumer can still use) and for
-dedup on that box, each box's verdict computed once per anchor; only the
-polygons that pass both are built as checked polygons and re-checked
+floor (the least vertex count its consumer can still use), for the
+position type of a tagged search, on its vertices and box, and for dedup
+on that box, each box's verdict computed once per anchor; only the
+polygons that pass every test are built as checked polygons and re-checked
 against the lattice by the column scan of `is_free_of`, a route apart from
 the fan-triangle test.  That is the one re-check: no campaign kernel
 repeats it or the constructor's.  `enumerate_convex_polygons` holds the
@@ -49,6 +50,13 @@ floor at its `min_vertices`, and the sharpness witness search is the first
 polygon of that stream at its target size; the bound kernel raises the
 floor past the sizes that can no longer change its report, and the
 reduction corpus builds every polygon.
+A tagged search also adds in one step the totals of a state whose chain
+box, extended by the point descended to, already rules the type out
+(typeclass._rules_out), when its nodes fit in the budget.  Every closed
+chain in that subtree has a box that contains the extended one with the
+same west, the anchor, and a rule that holds at a box holds at every
+larger box with the same west, so the subtree holds no polygon of the
+type.
 
 Every campaign (the vertex-count bounds, the point-capture bound, the
 reduction pipelines) runs through one driver.  Each anchor subtree is a
@@ -85,6 +93,7 @@ from .typeclass import (
     PolygonType,
     _classify_core,
     _has_type,
+    _rules_out,
 )
 
 #: Default chain-prefix node budget for a single campaign.
@@ -278,12 +287,14 @@ def _is_canonical(box: tuple[int, int, int, int], L: Lattice2,
 @dataclass(frozen=True)
 class _Search:
     """Polygons of `region` free of `avoid` (one per translation class if
-    `dedup`), vertices on `vertex_lattice`."""
+    `dedup`), vertices on `vertex_lattice`, and of the position type `tag`
+    when one is given; a tagged search must avoid nZ^2 at the tag's n."""
 
     region: SearchRegion
     avoid: Lattice2 | None
     dedup: bool
     vertex_lattice: Lattice2 | None
+    tag: PolygonType | None = None
 
 
 def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
@@ -299,6 +310,11 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     `budget`.  floor[0] is read at each closed chain and each descent, so a
     consumer may raise it between polygons; it must never lower it.
 
+    A tagged search (search.tag not None) must avoid nZ^2 at the tag's
+    scale, and raises InvariantViolation before it yields anything if not;
+    it yields only the polygons of its type, tested with _has_type before
+    they are built.
+
     A state's record is [entry, j, program, totals]: the table entry of its
     point, the direction index j that reached it, its event program once
     compiled and its totals once its replay ends, else None.  The totals
@@ -313,15 +329,25 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
     p - s*d_j from the anchor by directions before j, each clockwise of d_j
     by less than a half turn, so their sum is not parallel to d_j.  A
     descent to a state with totals therefore adds them in one step, instead
-    of replaying the state, when no closed chain in the subtree reaches the
-    floor and the budget has room for all its nodes: the counters, the
-    budget stop and the stream are the replay's.  That relies on the floor
-    never falling within a task, so that a subtree that emits nothing under
-    the floor it is skipped at emits nothing under any later floor either.
+    of replaying the state, when the budget has room for all its nodes and
+    either no closed chain in the subtree reaches the floor or, in a tagged
+    search, the chain's box extended by the state's point rules the type
+    out: the counters, the budget stop and the stream are the replay's.
+    The floor case relies on the floor never falling within a task, so
+    that a subtree that emits nothing under the floor it is skipped at
+    emits nothing under any later floor either.
     `enumerate_convex_polygons` holds the floor fixed, and `_max_kernel`
-    only raises it.
+    only raises it.  The type case relies on the rules only growing with
+    the box: each closed chain in the subtree has a box that contains the
+    extended box, with the anchor as its west, so none has the type.
     """
-    region, avoid, dedup = search.region, search.avoid, search.dedup
+    region, avoid, dedup, tag = (search.region, search.avoid, search.dedup,
+                                 search.tag)
+    if tag is not None:
+        n, name = tag.n, tag.tag
+        if avoid != scaled_lattice(n):
+            raise InvariantViolation(
+                f"a search tagged {name} avoids {avoid}, not {n}Z^2")
     ax, ay = anchor
     x_min, x_max = region.x_min, region.x_max
     y_min, y_max = region.y_min, region.y_max
@@ -456,9 +482,11 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
 
         The chain's bounding box is (ax, x_hi, y_lo, y_hi): it starts at the
         anchor, its least x.  A closed chain under the floor is counted and
-        dropped; any other is tested for dedup on its box, and each box's
-        verdict is kept.  A descent that its state's totals rule out, as
-        the docstring above says, adds them instead of replaying the state.
+        dropped; any other is tested for the search's type, if it has one,
+        and then for dedup on its box, and each box's verdict is kept.  A
+        descent that its state's totals or the type's rules rule out, as
+        the docstring above says, adds the totals instead of replaying the
+        state.
         """
         size = len(verts)
         nodes, seen, longest = counter[0], counter[1], -inf
@@ -470,7 +498,11 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 overrun(count)
             if sub is not None:
                 done = sub[3]
-                if (done is None or size + 1 + done[2] >= floor[0]
+                if (done is None or size + 1 + done[2] >= floor[0] and (
+                        tag is None or not _rules_out(
+                            (ax, nxt[0] if nxt[0] > x_hi else x_hi,
+                             nxt[1] if nxt[1] < y_lo else y_lo,
+                             nxt[1] if nxt[1] > y_hi else y_hi), n, name))
                         or counter[0] + done[0] > budget):
                     verts.append(nxt)
                     nx, ny = nxt
@@ -493,15 +525,17 @@ def _iter_from_anchor(anchor: Vec, search: _Search, counter: list[int],
                 counter[1] += 1
                 if size < floor[0]:
                     continue
+                vs, box = tuple(verts), (ax, x_hi, y_lo, y_hi)
+                if tag is not None and not _has_type(vs, box, n, name):
+                    continue
                 if avoid is not None and dedup:
-                    box = (ax, x_hi, y_lo, y_hi)
                     canonical = verdicts.get(box)
                     if canonical is None:
                         canonical = verdicts[box] = _is_canonical(
                             box, avoid, region)
                     if not canonical:
                         continue
-                poly = LatticePolygon(tuple(verts))
+                poly = LatticePolygon(vs)
                 if avoid is not None and not is_free_of(poly, avoid):
                     raise InvariantViolation(f"{poly.vertices} meets {avoid}")
                 yield poly
@@ -692,27 +726,20 @@ def _vertex_bound(n: int, factors: InvariantFactors | None) -> int:
 
 
 def _max_kernel(polygons: Iterator[LatticePolygon], search: _Search,
-                floor: list[int], n: int, tag: str, limit: int):
-    """The first largest polygon carrying `tag`, and every one with more
-    than `limit` vertices.
+                floor: list[int], limit: int):
+    """The first largest polygon of the task, and every one with more than
+    `limit` vertices.
 
     A polygon no larger than the best so far and than `limit` can change
     neither.  Whenever the best grows, the floor rises to one past the
     smaller of its size and `limit`, so the enumerator does not build such
-    a polygon, and its type is never decided.  A tagged search avoids nZ^2,
-    checked once, up front, and tests each polygon with
-    typeclass._has_type, without a freeness test.
+    a polygon.  A tagged search yields only the polygons of its type, so
+    the enumerator decides the type, and only of the chains that pass the
+    floor.
     """
-    tagged = tag != "any"
-    if tagged and search.avoid != scaled_lattice(n):
-        raise InvariantViolation(
-            f"a search tagged {tag} avoids {search.avoid}, not {n}Z^2")
     best, best_size, over = None, 0, []
     for poly in polygons:
-        vs = poly.vertices
-        size = len(vs)
-        if tagged and not _has_type(vs, poly.bounding_box(), n, tag):
-            continue
+        size = len(poly.vertices)
         if size > best_size:
             best, best_size = poly, size
             floor[0] = min(size, limit) + 1
@@ -754,8 +781,7 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
     """
     if n < 3:
         raise ValueError(f"vertex bounds need scale n >= 3, got {n}")
-    if tag != "any":
-        PolygonType(tag, n)  # validates the tag
+    kind = None if tag == "any" else PolygonType(tag, n)  # validates the tag
     bound = _vertex_bound(n, vertex_lattice)
     if vertex_lattice is None:
         name = f"vertex-count<={bound}"
@@ -764,11 +790,11 @@ def check_vertex_bound(n: int, tag: str, vertex_lattice: InvariantFactors | None
         name = (f"vertex-count<={bound}[factors=({vertex_lattice.delta},"
                 f"{vertex_lattice.n})]")
         families = list(_lattice_family(vertex_lattice.delta, vertex_lattice.n))
-    searches = [_Search(region, scaled_lattice(n), tag == "any", vlat)
+    searches = [_Search(region, scaled_lattice(n), kind is None, vlat, kind)
                 for vlat in families]
     return _max_report(name, n,
                        vertex_lattice.delta if vertex_lattice else 1, region,
-                       searches, (n, tag, bound), budget, workers)
+                       searches, (bound,), budget, workers)
 
 
 def check_main_theorem(delta: int, n: int, region: SearchRegion,
@@ -787,7 +813,7 @@ def check_main_theorem(delta: int, n: int, region: SearchRegion,
                 for lat in _lattice_family(delta, n)]
     nu = capture_threshold(delta, n)
     return _max_report(f"capture-at-{nu}-vertices", n, delta, region,
-                       searches, (n, "any", nu - 1), budget, workers)
+                       searches, (nu - 1,), budget, workers)
 
 
 def find_sharpness_witness(delta: int, n: int, region: SearchRegion,

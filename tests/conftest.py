@@ -222,6 +222,30 @@ def side_range(P, line):
     return min(sides), max(sides)
 
 
+def reference_type_predicate(P, n, tag):
+    """The type of a polygon free of nZ^2, by definition and with no box
+    gate: I lies in a slab between neighbouring lines of nZ^2, Va in the
+    triangle with corners (0,0), (2n,0) and (0,2n), and II to VI are split
+    by every segment, split by no `unsplit` line and meet no `unmet` line of
+    their `type_shape`, each (axis, c) taken as the general line
+    (1 - axis, axis, c) and read on the vertices' side values."""
+    if tag == "I":
+        west, east, south, north = P.bounding_box()
+        return (-(-east // n) - west // n <= 1
+                or -(-north // n) - south // n <= 1)
+    if tag == "Va":
+        return all(x >= 0 and y >= 0 and x + y <= 2 * n
+                   for x, y in P.vertices)
+    shape = typeclass.type_shape(tag, n)
+    unsplit = [(1 - axis, axis, c) for axis, c in shape.unsplit]
+    unmet = [(1 - axis, axis, c) for axis, c in shape.unmet]
+    return (all(latgon.splits_by_segment(P, seg) for seg in shape.segments)
+            and not any(lo < 0 < hi for lo, hi in
+                        (side_range(P, line) for line in unsplit))
+            and not any(lo <= 0 <= hi for lo, hi in
+                        (side_range(P, line) for line in unmet)))
+
+
 def box_scan_oracle(P, L):
     """Points of L in P: every lattice point of the bounding box, column by
     column, kept unless classify_point_oracle puts it outside."""

@@ -200,6 +200,35 @@ SHEARED_TRACE = REDUCED_TRACE.replace('{"label":"reflect"',
          "--region=-4,8,-4,8", "--workers", "2"], True, 0,
         "0752f9efe65cb5e4c07196bb51bd301f8247623dcd35723dafb1746aea0aa10e",
         id="bound-n4-tag-iii"),
+    # Tagged campaigns, which test each closed chain for the tag before
+    # building it and skip the subtrees whose box rules the tag out: the
+    # benchmark's V campaign cut at 50,001 nodes, at one and two workers;
+    # Va, I and II at n = 3; and Va at n = 4 on [0,8]², 49,712,924 nodes.
+    *(pytest.param(
+        ["verify-bound", "--n", "3", "--tag", "V", "--region=-3,2,-2,2",
+         "--budget", "50000", "--workers", w], False, 3,
+        "e4d2298fdcd7c539acb1b6ec29f7bde61477afc628dea556c34b68837eccfc25",
+        id=f"bound-tag-v-budget-w{w}") for w in ("1", "2")),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--tag", "Va", "--region=0,6,0,6"],
+        False, 0,
+        "dad10ce826fb0dbb1b685ab9575021d5a1e44c85e49a7b84a34ce6e109e5f4d9",
+        id="bound-tag-va"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--tag", "I", "--region=-3,3,-3,3"],
+        False, 0,
+        "e5975a4e2b7f66e55351efcb68b7f1181bab5ba49e6777d1b4a5e0b6127ef5d2",
+        id="bound-tag-i"),
+    pytest.param(
+        ["verify-bound", "--n", "3", "--tag", "II", "--region=-3,3,-3,3"],
+        False, 0,
+        "51d1163820c84bfc2f3d74022b7daf3b1f0a17dbd41d7be0f8aa9a6db1848844",
+        id="bound-tag-ii"),
+    pytest.param(
+        ["verify-bound", "--n", "4", "--tag", "Va", "--region=0,8,0,8",
+         "--workers", "2"], True, 0,
+        "d132127da1a31a22d6c7848e7d73a9f18e62af98cdfa3450eecfcbae3e84e64d",
+        id="bound-n4-tag-va-O"),
 ])
 def test_cli_output(argv, optimize, code, sha256):
     """Each call's exit code and the sha256 of its standard output.

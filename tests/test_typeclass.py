@@ -12,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_polygon, run_python, side_range
+from conftest import random_polygon, reference_type_predicate, run_python
 from latgon import (
     TAG_ORDER,
     AffineMap,
@@ -40,9 +40,11 @@ from latgon.polygon import Segment, _chord_within
 from latgon.svg import SCALE, render_polygon_svg
 from latgon.typeclass import (
     _has_type,
+    _rules_out,
     _west_split_limit,
     type_shape,
 )
+from latgon.verify import _anchors, _iter_from_anchor, _Search
 
 SQUARE = from_points([(1, 1), (2, 1), (2, 2), (1, 2)])
 TRIANGLE = from_points([(-2, -1), (-1, 2), (1, 1)])
@@ -74,30 +76,6 @@ def pool3():
 
 # ---------------------------------------------------------------------------
 # type predicates
-
-
-def reference_type_predicate(P, n, tag):
-    """The type of a polygon free of nZ^2, by definition and with no box
-    gate: I lies in a slab between neighbouring lines of nZ^2, Va in the
-    triangle with corners (0,0), (2n,0) and (0,2n), and II to VI are split
-    by every segment, split by no `unsplit` line and meet no `unmet` line of
-    their `type_shape`, each (axis, c) taken as the general line
-    (1 - axis, axis, c) and read on the vertices' side values."""
-    if tag == "I":
-        west, east, south, north = P.bounding_box()
-        return (-(-east // n) - west // n <= 1
-                or -(-north // n) - south // n <= 1)
-    if tag == "Va":
-        return all(x >= 0 and y >= 0 and x + y <= 2 * n
-                   for x, y in P.vertices)
-    shape = type_shape(tag, n)
-    unsplit = [(1 - axis, axis, c) for axis, c in shape.unsplit]
-    unmet = [(1 - axis, axis, c) for axis, c in shape.unmet]
-    return (all(splits_by_segment(P, seg) for seg in shape.segments)
-            and not any(lo < 0 < hi for lo, hi in
-                        (side_range(P, line) for line in unsplit))
-            and not any(lo <= 0 <= hi for lo, hi in
-                        (side_range(P, line) for line in unmet)))
 
 
 @pytest.mark.parametrize(
@@ -960,16 +938,17 @@ def test_box_gate_keeps_the_first_tag(pool3, corpus4, rng):
                     is reference_type_predicate(P, n, tag)), (P, n, tag)
 
 
-def test_box_gate_matches_reference_where_type_iv_occurs():
-    """_has_type equals the reference for every tag on the 4Z^2-free
-    polygons of [-1,6]x[-1,5], where every tag occurs, IV included, as in no
-    other pool here: on every polygon split by both [(0,0),(4,0)] and
-    [(4,0),(4,4)], as each of type II, III or IV is, and on a seeded sample
-    of the rest."""
+@pytest.fixture(scope="module")
+def iv_pool():
+    """The number of 4Z^2-free polygons of [-1,6]x[-1,5], where every tag
+    occurs, IV included, as in no other pool here; and every one of them
+    split by both [(0,0),(4,0)] and [(4,0),(4,4)], as each of type II, III
+    or IV is, and a seeded sample of the rest, each with its tags by the
+    reference."""
     n = 4
     south_seg, east_seg = Segment((0, 0), (n, 0)), Segment((n, 0), (n, n))
     sample = random.Random(17)
-    total, tally = 0, Counter()
+    total, pool = 0, []
     for P in enumerate_convex_polygons(SearchRegion(-1, 6, -1, 5),
                                        avoid=scaled_lattice(n)):
         total += 1
@@ -977,11 +956,66 @@ def test_box_gate_matches_reference_where_type_iv_occurs():
                  and splits_by_segment(P, east_seg))
         if not split and sample.random() >= 0.02:
             continue
+        pool.append((P, tuple(tag for tag in TAG_ORDER
+                              if reference_type_predicate(P, n, tag))))
+    return total, pool
+
+
+def test_box_gate_matches_reference_where_type_iv_occurs(iv_pool):
+    """_has_type equals the reference for every tag on the type IV pool."""
+    total, pool = iv_pool
+    tally = Counter()
+    for P, tags in pool:
         box = P.bounding_box()
         for tag in TAG_ORDER:
-            expected = reference_type_predicate(P, n, tag)
-            assert _has_type(P.vertices, box, n, tag) is expected, (P, tag)
-            tally[tag] += expected
+            assert _has_type(P.vertices, box, 4, tag) is (tag in tags), (P,
+                                                                         tag)
+        tally.update(tags)
     assert total == 364083
     assert (tally["II"], tally["III"], tally["IV"]) == (899, 5399, 26)
     assert all(tally[tag] for tag in TAG_ORDER), tally
+
+
+def test_rules_out_spares_every_polygon_of_its_tag(iv_pool, corpus_04):
+    """No polygon whose box _rules_out rules a tag out at has that tag by
+    the reference: on the 3Z^2-free polygons of [-3,3]^2, every translate
+    of each, on the type IV pool at n = 4, and, as the rules read the box
+    alone, on every convex polygon of [0,4]^2 at n = 2, free or not, which
+    holds polygons with a vertex at each corner of the Va triangle."""
+    search = _Search(SearchRegion(-3, 3, -3, 3), scaled_lattice(3), False,
+                     None)
+    pool3 = [P for anchor in _anchors(search)
+             for P in _iter_from_anchor(anchor, search, [0, 0], 10 ** 9, [0])]
+    assert len(pool3) == 44444
+    cases = ([(P, 3) for P in pool3] + [(P, 4) for P, _tags in iv_pool[1]]
+             + [(P, 2) for P in corpus_04])
+    ruled, spared = Counter(), Counter()
+    for P, n in cases:
+        box = P.bounding_box()
+        for tag in TAG_ORDER:
+            if _rules_out(box, n, tag):
+                assert not reference_type_predicate(P, n, tag), (P, n, tag)
+                ruled[tag] += 1
+            else:
+                spared[tag] += 1
+    assert all(ruled[tag] and spared[tag] for tag in TAG_ORDER), (ruled,
+                                                                   spared)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rules_out_holds_on_every_larger_box(n, rng):
+    """A rule that holds at a box holds at every box that contains it with
+    the same west: on seeded pairs of such boxes around the lines of every
+    type at scale n."""
+    fired = Counter()
+    for _ in range(20000):
+        west, east = sorted(rng.randint(-2 * n, 3 * n) for _ in range(2))
+        south, north = sorted(rng.randint(-2 * n, 3 * n) for _ in range(2))
+        box = (west, east, south, north)
+        larger = (west, east + rng.randint(0, n), south - rng.randint(0, n),
+                  north + rng.randint(0, n))
+        for tag in TAG_ORDER:
+            if _rules_out(box, n, tag):
+                assert _rules_out(larger, n, tag), (box, larger, tag)
+                fired[tag] += larger != box
+    assert all(fired[tag] for tag in TAG_ORDER), fired

@@ -8,12 +8,13 @@ it.  Campaign results on small regions are frozen after hand inspection.
 import json
 import pickle
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 from conftest import (convex_polygons_dfs, convex_polygons_powerset,
-                      fail_lift_on_call, run_python)
+                      fail_lift_on_call, reference_type_predicate, run_python)
 from latgon import (
     REGION_PRESETS,
     AffineMap,
@@ -24,6 +25,7 @@ from latgon import (
     InvariantViolation,
     Lattice2,
     LatticePolygon,
+    PolygonType,
     SearchRegion,
     capture_threshold,
     check_main_theorem,
@@ -39,7 +41,7 @@ from latgon import (
     verify_reduction_corpus,
 )
 from latgon import verify
-from latgon.typeclass import PIPELINES, _classify_core, _has_type
+from latgon.typeclass import PIPELINES, _classify_core
 from latgon.verify import (
     _anchors,
     _campaign,
@@ -372,7 +374,7 @@ def _kernel_task(enumerate_from, search, anchor, counter, budget, limit,
             log.append((P.vertices, *counter))
             yield P
 
-    return _max_kernel(stream(), search, floor, 3, "any", limit)
+    return _max_kernel(stream(), search, floor, limit)
 
 
 def _kernel_under_budget(enumerate_from, search, budget, limit,
@@ -459,6 +461,93 @@ def test_bound_task_skips_subtrees_under_its_floor():
     _kernel_under_budget(_iter_from_anchor, search, 10 ** 9, 8, log)
     assert list(log) == [618802, 35381]
     assert len(log.node_steps) < 109143 // 2
+
+
+def with_tag(search, n, tag):
+    """The search restricted to the polygons of `tag` at scale n, or the
+    search itself for "any"."""
+    if tag == "any":
+        return search
+    return replace(search, tag=PolygonType(tag, n))
+
+
+@lru_cache(maxsize=None)
+def reference_has_type(vertices, n, tag):
+    """Does the polygon have the tag ("any" for every polygon), by
+    reference_type_predicate; kept for the tests of every tag."""
+    return tag == "any" or reference_type_predicate(LatticePolygon(vertices),
+                                                    n, tag)
+
+
+#: Searches as tagged campaigns search them, without dedup, as (region, n,
+#: vertex lattice).  Their polygons carry I, V and Va; I, V, VI and Va;
+#: every tag but IV; and I, VI and Va on a vertex lattice.
+TAGGED_SEARCHES = {
+    "2Z2": (SearchRegion(-3, 3, -2, 2), 2, None),
+    "2Z2-east": (SearchRegion(-1, 5, -1, 3), 2, None),
+    "3Z2": (SearchRegion(-1, 4, -1, 4), 3, None),
+    "factors-1-3-residue-1": (SearchRegion(-3, 6, -3, 6), 3,
+                              _lattice_family(1, 3)[1]),
+}
+
+
+def tagged_search(name, tag):
+    region, n, vlat = TAGGED_SEARCHES[name]
+    return with_tag(_Search(region, scaled_lattice(n), False, vlat), n, tag)
+
+
+@lru_cache(maxsize=None)
+def reference_tasks(name):
+    """_per_task of the per-node walk on the untagged search."""
+    return _per_task(reference_iter_from_anchor, tagged_search(name, "any"))
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER)
+def test_tagged_enumerator_matches_filtered_per_node_walk(tag):
+    """A tagged search yields the polygons of the untagged per-node walk
+    that have the tag by the reference, each with the walk's counters at
+    the moment it is yielded; each task's nodes and polygons seen are the
+    walk's, though the subtrees whose box rules the tag out are added in
+    one step."""
+    found = 0
+    for name, (_region, n, _vlat) in TAGGED_SEARCHES.items():
+        expected = [(anchor, [entry for entry in polys
+                              if reference_has_type(entry[0], n, tag)],
+                     nodes, seen)
+                    for anchor, polys, nodes, seen in reference_tasks(name)]
+        got = _per_task(_iter_from_anchor, tagged_search(name, tag))
+        assert got == expected, name
+        found += sum(len(polys) for _, polys, _, _ in got)
+    assert (found > 0) is (tag != "IV")
+
+
+@pytest.mark.parametrize("tag", TAG_ORDER)
+def test_tagged_budget_window_matches_filtered_per_node_walk(tag):
+    """Every budget of windows at both ends of the first subtree that the
+    tag's rules skip: the stream, the budget stop and the counters are the
+    untagged per-node walk's, its stream filtered by the reference.
+
+    At floor 0, a subtree that the floor skips holds no closed chain; so a
+    step of the node counter with a closing strictly inside it is a subtree
+    that the tag's rules skip.  Under a budget that stops inside it, it is
+    walked, and the stop is the per-node walk's.
+    """
+    n = TAGGED_SEARCHES["2Z2"][1]
+    search, plain = tagged_search("2Z2", tag), tagged_search("2Z2", "any")
+    ours, ref = _CountLog(), _CountLog()
+    for anchor in _anchors(search):
+        list(_iter_from_anchor(anchor, search, ours, 10 ** 9, [0]))
+        list(reference_iter_from_anchor(anchor, plain, ref, 10 ** 9, [0]))
+    old, new = next((old, new) for old, new in ours.node_steps
+                    if any(old < node < new for node in ref.seen_at))
+    assert new - old >= 2
+    for budget in sorted({*range(old - 3, old + 9), *range(new - 3, new + 3)}):
+        polys, stop, counter = _under_budget(reference_iter_from_anchor,
+                                             plain, budget)
+        got = _under_budget(_iter_from_anchor, search, budget)
+        assert got == ([vs for vs in polys if reference_has_type(vs, n, tag)],
+                       stop, counter), budget
+        assert got[1] == (budget + 1, got[2][1])
 
 
 @pytest.mark.parametrize("end", ["close", "exhaust", "budget"])
@@ -671,8 +760,8 @@ def test_campaign_starts_no_more_workers_than_tasks(monkeypatch):
     # Avoiding Z x 3Z, [0,1]^2 has one anchor, (0, 1).
     one = [_Search(SearchRegion(0, 1, 0, 1), Lattice2(1, 0, 3), True, None)]
     assert _anchors(one[0]) == [(0, 1)]
-    assert (list(_campaign(_max_kernel, (3, "any", 8), one, None, 4))
-            == list(_campaign(_max_kernel, (3, "any", 8), one, None, 1)))
+    assert (list(_campaign(_max_kernel, (8,), one, None, 4))
+            == list(_campaign(_max_kernel, (8,), one, None, 1)))
     assert sizes == [18]
 
 
@@ -693,7 +782,7 @@ def test_one_worker_campaigns_load_neither_slope_nor_pool():
         "# Five workers asked for, one task: (0, 1) is the one anchor.",
         "tiny = _Search(SearchRegion(0, 1, 0, 1), Lattice2(1, 0, 3), True,",
         "               None)",
-        "list(_campaign(_max_kernel, (3, 'any', 8), [tiny], None, 5))",
+        "list(_campaign(_max_kernel, (8,), [tiny], None, 5))",
         "unloaded = {'latgon.slope', 'multiprocessing'} - set(sys.modules)",
         "two = check_vertex_bound(3, 'any', None, region, workers=2)",
         "print(json.dumps({'unloaded': sorted(unloaded),",
@@ -870,21 +959,21 @@ def test_tagged_bound_matches_type_predicate_filter(tagged_stream_24, tag):
     # the over-limit path: each is reported.
     limit = len(best) - 1 if best else 0
     search = _Search(SearchRegion(-2, 4, -2, 4), scaled_lattice(3), False,
-                     None)
-    kernel_best, over = _max_kernel(iter(tagged_stream_24), search, [0], 3,
-                                    tag, limit)
-    assert kernel_best == best
+                     None, PolygonType(tag, 3))
+    over = [P for (_best, task_over), _nodes, _exhausted in _campaign(
+        _max_kernel, (limit,), [search], None, 1) for P in task_over]
     assert over == [P for P in matches if len(P) > limit]
     assert (len(over) > 0) is (tag != "IV")
 
 
 def reference_max_kernel(polygons, n, tag, limit):
     """_max_kernel's loop as it was before it skipped polygons too small to
-    change its summary: the type of every polygon is decided."""
+    change its summary, and before the enumerator decided the types: the
+    type of every polygon of the untagged stream is decided, by the
+    reference."""
     best, best_size, over = None, 0, []
     for P in polygons:
-        if tag != "any" and not _has_type(P.vertices, P.bounding_box(), n,
-                                          tag):
+        if not reference_has_type(P.vertices, n, tag):
             continue
         if len(P) > best_size:
             best, best_size = P, len(P)
@@ -896,18 +985,21 @@ def reference_max_kernel(polygons, n, tag, limit):
 @pytest.mark.parametrize("tag", TAG_ORDER + ("any",))
 def test_max_kernel_matches_the_loop_that_types_every_polygon(task_streams,
                                                               tag):
-    """Each task's summary is the one the loop that decides every
-    polygon's type makes, with the limit at the bound and one below the
-    largest size, where the over-limit list is not empty."""
+    """Each task's summary, from the tagged search, is the one the loop
+    that decides every polygon's type makes over the untagged stream, with
+    the limit at the bound and one below the largest size, where the
+    over-limit list is not empty."""
     for region in KERNEL_REGIONS:
         search, tasks = task_streams[region, tag == "any"]
+        search = with_tag(search, 3, tag)
         sizes = [len(best) for best, _ in (
             reference_max_kernel(polys, 3, tag, 8) for polys in tasks) if best]
         for limit in (8, max(sizes, default=1) - 1):
             summaries = [reference_max_kernel(polys, 3, tag, limit)
                          for polys in tasks]
-            assert [_max_kernel(iter(polys), search, [0], 3, tag, limit)
-                    for polys in tasks] == summaries
+            assert [_run_task((_max_kernel, (limit,), search, anchor,
+                               10 ** 9))[0]
+                    for anchor in _anchors(search)] == summaries
             if limit < 8:
                 assert any(over for _, over in summaries) is bool(sizes)
 
@@ -915,8 +1007,9 @@ def test_max_kernel_matches_the_loop_that_types_every_polygon(task_streams,
 def test_tagged_campaign_types_only_polygons_that_could_change_the_report(
         monkeypatch):
     """Of the 8,082 polygons of the benchmark's tagged campaign, the type is
-    decided for the 3,591 larger than the largest V polygon their task had
-    found; the report is the one deciding every type gives."""
+    decided for the 2,898 closed chains larger than the largest V polygon
+    their task had found, outside the subtrees that V's rules skip, before
+    any is built; the report is the one deciding every type gives."""
     calls = []
     has_type = verify._has_type
 
@@ -926,7 +1019,7 @@ def test_tagged_campaign_types_only_polygons_that_could_change_the_report(
 
     monkeypatch.setattr(verify, "_has_type", counted)
     report = check_vertex_bound(3, "V", None, SearchRegion(-3, 2, -2, 2))
-    assert len(calls) == 3591 and set(calls) == {"V"}
+    assert len(calls) == 2898 and set(calls) == {"V"}
     assert (report.max_vertices_found, report.nodes_explored) == (7, 105207)
     assert report.witness.vertices == ((-3, -2), (-2, -2), (-1, -1), (1, 2),
                                        (0, 2), (-2, 1), (-3, -1))
@@ -975,43 +1068,45 @@ FLOOR_CAMPAIGNS = [
 
 @pytest.mark.parametrize("tag", TAG_ORDER + ("any",))
 def test_bound_floor_never_changes_a_summary(tag, rng):
-    """Each task's summary, nodes and budget stop are those of its full
-    stream under the same budget: with the limit at 8 and one below the
-    largest size, under budgets that cut tasks short, and at one and two
-    workers."""
+    """Each task's summary, nodes and budget stop, from the tagged search,
+    are those of its full untagged stream under the same budget, filtered
+    by the reference: with the limit at 8 and one below the largest size,
+    under budgets that cut tasks short, and at one and two workers."""
     for n, searches, cheap in FLOOR_CAMPAIGNS:
+        tagged = [with_tag(search, n, tag) for search in searches]
         full = list(reference_campaign(searches, n, tag, 8, 10 ** 9))
         total = full[-1][1]
         largest = max((len(best) for (best, _), *_ in full if best),
                       default=1)
         for limit in (8, largest - 1):
-            for search in searches:
+            for search, task_search in zip(searches, tagged):
                 for anchor in _anchors(search):
                     polys, *counts = full_task_stream(search, anchor, 10 ** 9)
                     assert _run_task(
-                        (_max_kernel, (n, tag, limit), search, anchor, 10 ** 9)
+                        (_max_kernel, (limit,), task_search, anchor, 10 ** 9)
                     ) == (reference_max_kernel(polys, n, tag, limit), *counts)
             for budget in rng.sample(range(total), 2 if cheap else 1):
                 assert list(_campaign(
-                    _max_kernel, (n, tag, limit), searches, budget, 1)
+                    _max_kernel, (limit,), tagged, budget, 1)
                 ) == list(reference_campaign(searches, n, tag, limit,
                                              budget)), (limit, budget)
         if cheap:
             budget = rng.randrange(total)
-            assert list(_campaign(_max_kernel, (n, tag, largest - 1),
-                                  searches, budget, 2)) == list(
+            assert list(_campaign(_max_kernel, (largest - 1,), tagged, budget,
+                                  2)) == list(
                 reference_campaign(searches, n, tag, largest - 1, budget))
-            assert list(_campaign(_max_kernel, (n, tag, 8), searches,
-                                  10 ** 9, 2)) == full
+            assert list(_campaign(_max_kernel, (8,), tagged, 10 ** 9,
+                                  2)) == full
 
 
 def test_campaigns_build_only_the_polygons_their_kernel_can_use(
         monkeypatch):
     """Each built polygon is re-checked once, so the re-checks count the
     polygons built.  The bound campaigns of the benchmark build only those
-    their kernel can still use, over the nodes of the full search; the
-    corpus and the enumerator, whose consumers read every polygon, build
-    them all."""
+    their kernel can still use, over the nodes of the full search: the
+    tagged one builds only the 12 polygons of type V that pass its floor.
+    The corpus and the enumerator, whose consumers read every polygon,
+    build them all."""
     calls = []
     free_of = verify.is_free_of
 
@@ -1026,7 +1121,7 @@ def test_campaigns_build_only_the_polygons_their_kernel_can_use(
     # At one worker, so the builds run where they are counted; the floor
     # is per task, so two workers build the same polygons.
     report = check_vertex_bound(3, "V", None, SearchRegion(-3, 2, -2, 2))
-    assert (len(calls), report.nodes_explored) == (3591, 105207)
+    assert (len(calls), report.nodes_explored) == (12, 105207)
     calls.clear()
     report, tally = verify_reduction_corpus(3, SearchRegion(-2, 4, -2, 1))
     assert len(calls) == tally["total"] == 4557
@@ -1037,14 +1132,22 @@ def test_campaigns_build_only_the_polygons_their_kernel_can_use(
 
 
 def test_max_kernel_refuses_tagged_search_off_scaled_lattice():
+    """A search tagged at scale 3 that avoids any lattice but 3Z^2 raises
+    before it yields a polygon, in a bound task too; the same searches
+    untagged, as the capture bound's, yield polygons."""
     region = SearchRegion(-2, 2, -2, 2)
     for avoid in (scaled_lattice(2), Lattice2(3, 1, 3), None):
-        search = _Search(region, avoid, False, None)
+        search = _Search(region, avoid, False, None, PolygonType("V", 3))
+        anchor = _anchors(search)[0]
         with pytest.raises(InvariantViolation, match="tagged V"):
-            _max_kernel(iter(()), search, [0], 3, "V", 8)
-    # Untagged campaigns, such as the capture bound, avoid any lattice.
-    assert _max_kernel(iter(()), _Search(region, Lattice2(1, 0, 2), True,
-                                         None), [0], 2, "any", 4) == (None, [])
+            next(_iter_from_anchor(anchor, search, [0, 0], 10 ** 9, [0]))
+        with pytest.raises(InvariantViolation, match="tagged V"):
+            _run_task((_max_kernel, (8,), search, anchor, 10 ** 9))
+        plain = replace(search, tag=None)
+        assert next(_iter_from_anchor(anchor, plain, [0, 0], 10 ** 9, [0]))
+        best, _over = _run_task((_max_kernel, (8,), plain, anchor,
+                                 10 ** 9))[0]
+        assert best is not None
 
 
 @pytest.mark.parametrize(
